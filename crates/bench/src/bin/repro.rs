@@ -23,6 +23,7 @@ use dvs_bench::checkpoint::{read_text, write_text};
 use dvs_bench::*;
 use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::FleetSpec;
+use serde::{DeserializeOwned, Serialize};
 
 /// Counts every heap allocation into [`dvs_bench::alloc_track`], so the
 /// sweep benchmark can gate the pooled path on allocating *less*, not just
@@ -321,18 +322,16 @@ fn usage(jobs: &[Job]) -> String {
         "repro — regenerate the D-VSync paper's tables and figures\n\n\
          usage: repro --all | [--fig N]... [--table N]... [--cost] [--power] [--chromium]\n\
          \x20      repro custom <scenario.json>   # run a ScenarioSpec under all configs\n\
-         \x20      repro bench [--quick] [--emit-json [path]] [--check <baseline.json>]\n\
-         \x20                 # simulator-core throughput: event heap vs tick-stepper\n\
-         \x20                 # (--emit-json defaults to BENCH_simcore.json; --check\n\
-         \x20                 #  fails on >20% regression vs the committed baseline)\n\
-         \x20      repro bench sweep [--quick] [--emit-json [path]] [--check <baseline>]\n\
-         \x20                 # sweep throughput: classic path vs shared trace cache +\n\
-         \x20                 # pooled arenas + streaming aggregates over a buffer\n\
-         \x20                 # ladder (--emit-json defaults to BENCH_sweep.json)\n\
-         \x20      repro bench trace [--quick] [--emit-json [path]] [--check <baseline>]\n\
-         \x20                 # trace-codec benchmark: binary container vs JSON, floor-\n\
-         \x20                 # gated at 5x smaller and 5x faster to decode\n\
-         \x20                 # (--emit-json defaults to BENCH_trace.json)\n\
+         \x20      repro bench [simcore|sweep|trace|fleet] [--quick] [--emit-json [path]]\n\
+         \x20                 [--check <baseline.json>]\n\
+         \x20                 # throughput suites; bare `repro bench` is simcore:\n\
+         \x20                 #   simcore  event heap vs reference tick-stepper\n\
+         \x20                 #   sweep    classic path vs shared cache + pooled arenas\n\
+         \x20                 #   trace    binary trace container vs JSON\n\
+         \x20                 #   fleet    SoA batch kernel vs per-device oracle\n\
+         \x20                 # --emit-json defaults to BENCH_<suite>.json; --check applies\n\
+         \x20                 # the suite's gate table (floors, 20% baseline drops) and\n\
+         \x20                 # exits 1 on any breach\n\
          \x20      repro trace record --out <dir> [--tiny|--quick] [--fitted]\n\
          \x20                 [--fleet [--devices N] [--frames N]]\n\
          \x20                 # record the benchmark corpora as compact binary traces\n\
@@ -367,10 +366,6 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 # to mergeable sketches; the report is byte-identical for\n\
          \x20                 # any --jobs/--shards/--engine (docs/fleet.md). Same\n\
          \x20                 # --inject-* fault taps as repro sweep\n\
-         \x20      repro fleet --bench [--quick] [--emit-json [path]] [--check <baseline>]\n\
-         \x20                 # fleet throughput: SoA batch kernel vs per-device oracle,\n\
-         \x20                 # floor-gated at 1M simulated devices/minute (--check\n\
-         \x20                 # implies --bench; --emit-json defaults to BENCH_fleet.json)\n\
          \x20      --jobs N   sweep worker count (default: available parallelism;\n\
          \x20                 1 = sequential reference path; output identical for all N)\n\n\
          exit codes: 0 clean; 1 hard error; 2 completed with quarantined cells\n\n\
@@ -382,87 +377,78 @@ fn usage(jobs: &[Job]) -> String {
     out
 }
 
-/// Runs a throughput benchmark: `repro bench` (simulator core) or
-/// `repro bench sweep` (sweep path). Flags (anywhere on the command line):
-/// `--quick` for the CI smoke slice, `--emit-json [path]` to write the
-/// machine-readable result, `--check <baseline.json>` to gate against a
-/// committed baseline.
-fn run_bench(args: &[String]) -> DvsResult<String> {
-    let trace_bench = args.iter().any(|a| a == "trace");
-    let sweep_bench = !trace_bench && args.iter().any(|a| a == "sweep");
-    let quick = args.iter().any(|a| a == "--quick");
-    // `--emit-json` takes an optional path operand; a following flag means
-    // "use the default name".
-    let default_json = if trace_bench {
-        "BENCH_trace.json"
-    } else if sweep_bench {
-        "BENCH_sweep.json"
-    } else {
-        "BENCH_simcore.json"
-    };
-    let emit: Option<String> =
-        args.iter().position(|a| a == "--emit-json").map(|p| match args.get(p + 1) {
-            Some(next) if !next.starts_with('-') => next.clone(),
-            _ => default_json.to_string(),
-        });
-    let check_path: Option<&String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|p| args.get(p + 1))
-        .filter(|a| !a.starts_with('-'));
+/// Runs one throughput suite: `(args, suite name)` to rendered output.
+type BenchRun = fn(&[String], &str) -> DvsResult<String>;
 
-    let parse_err =
-        |path: &str, e: serde_json::Error| DvsError::InvalidConfig(format!("parse {path}: {e}"));
-    let gate_err = |msg: String| DvsError::InvalidConfig(msg);
-    let (mut out, result_json, check_notes) = if trace_bench {
-        let result = dvs_bench::tracebench::run(quick);
-        let notes = match check_path {
-            Some(path) => {
-                let json = read_text(Path::new(path))?;
-                let baseline: dvs_bench::tracebench::TraceBench =
-                    serde_json::from_str(&json).map_err(|e| parse_err(path, e))?;
-                Some(dvs_bench::tracebench::check(&result, &baseline).map_err(gate_err)?)
-            }
-            None => None,
-        };
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        (dvs_bench::tracebench::render(&result), json, notes)
-    } else if sweep_bench {
-        let result = dvs_bench::sweepbench::run(quick);
-        let notes = match check_path {
-            Some(path) => {
-                let json = read_text(Path::new(path))?;
-                let baseline: dvs_bench::sweepbench::SweepBench =
-                    serde_json::from_str(&json).map_err(|e| parse_err(path, e))?;
-                Some(dvs_bench::sweepbench::check(&result, &baseline).map_err(gate_err)?)
-            }
-            None => None,
-        };
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        (dvs_bench::sweepbench::render(&result), json, notes)
-    } else {
-        let result = dvs_bench::simcore::run(quick);
-        let notes = match check_path {
-            Some(path) => {
-                let json = read_text(Path::new(path))?;
-                let baseline: dvs_bench::simcore::SimcoreBench =
-                    serde_json::from_str(&json).map_err(|e| parse_err(path, e))?;
-                Some(dvs_bench::simcore::check(&result, &baseline).map_err(gate_err)?)
-            }
-            None => None,
-        };
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        (dvs_bench::simcore::render(&result), json, notes)
+/// The `repro bench <suite>` table; bare `repro bench` runs the first entry.
+const BENCH_SUITES: [(&str, BenchRun); 4] = [
+    ("simcore", |args, name| bench(args, name, simcore::run, simcore::render, simcore::GATES)),
+    ("sweep", |args, name| {
+        bench(args, name, |q| Ok(sweepbench::run(q)), sweepbench::render, sweepbench::GATES)
+    }),
+    ("trace", |args, name| {
+        bench(args, name, |q| Ok(tracebench::run(q)), tracebench::render, tracebench::GATES)
+    }),
+    ("fleet", |args, name| {
+        bench(args, name, fleetbench::run, fleetbench::render, fleetbench::GATES)
+    }),
+];
+
+/// Runs `repro bench [suite] [--quick] [--emit-json [path]] [--check
+/// <baseline>]`. Every argument is validated before anything runs: a
+/// typo'd flag or a `--check` without its baseline must fail loudly, never
+/// silently stop gating.
+fn run_bench(args: &[String]) -> DvsResult<String> {
+    let invalid = |what: String| Err(DvsError::InvalidConfig(format!("repro bench: {what}")));
+    let pos = args.iter().position(|a| a.trim_start_matches('-') == "bench").unwrap_or(0);
+    let mut suite = None;
+    let mut rest = args[pos + 1..].iter().peekable();
+    while let Some(a) = rest.next() {
+        let has_operand = rest.peek().is_some_and(|v| !v.starts_with('-'));
+        match a.as_str() {
+            "--quick" => {}
+            "--emit-json" | "--check" if has_operand => _ = rest.next(),
+            "--emit-json" => {}
+            "--check" => return invalid("--check needs a baseline path".into()),
+            name if suite.is_none() && !name.starts_with('-') => suite = Some(name),
+            other => return invalid(format!("unknown argument `{other}` (see repro --help)")),
+        }
+    }
+    let suite = suite.unwrap_or(BENCH_SUITES[0].0);
+    let Some((_, run)) = BENCH_SUITES.iter().find(|(name, _)| *name == suite) else {
+        let names: Vec<&str> = BENCH_SUITES.iter().map(|(name, _)| *name).collect();
+        return invalid(format!("unknown suite `{suite}` (one of {})", names.join(", ")));
     };
-    if let Some(path) = emit {
-        write_text(Path::new(&path), &(result_json + "\n"))?;
+    run(args, suite)
+}
+
+/// The one path behind [`BENCH_SUITES`]: reads the `--check` baseline (before
+/// the suite runs, so a bad path fails fast), runs the suite, writes its JSON
+/// (`BENCH_<suite>.json` by default), then applies the suite's gates.
+fn bench<T: Serialize + DeserializeOwned + perf::Bench>(
+    args: &[String],
+    suite: &str,
+    run: fn(bool) -> DvsResult<T>,
+    render: fn(&T) -> String,
+    gates: &[perf::Gate<T>],
+) -> DvsResult<String> {
+    let baseline: Option<T> = match flag_value(args, "--check") {
+        Some(path) => Some(
+            serde_json::from_str(&read_text(Path::new(path))?)
+                .map_err(|e| DvsError::InvalidConfig(format!("parse {path}: {e}")))?,
+        ),
+        None => None,
+    };
+    let result = run(has_flag(args, "--quick"))?;
+    let mut out = render(&result);
+    if let Some(path) = emit_json_path(args, &format!("BENCH_{suite}.json")) {
+        let json = serde_json::to_string_pretty(&result)
+            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
+        write_text(Path::new(&path), &(json + "\n"))?;
         out.push_str(&format!("wrote {path}\n"));
     }
-    if let Some(notes) = check_notes {
-        out.push_str(&notes);
+    if let Some(baseline) = baseline {
+        out.push_str(&perf::check(&result, &baseline, gates).map_err(DvsError::InvalidConfig)?);
     }
     Ok(out)
 }
@@ -472,16 +458,16 @@ fn run_bench(args: &[String]) -> DvsResult<String> {
 /// advisory (prints findings, exits 0); with it, any unwaived finding or
 /// malformed waiver fails the run — the CI `lint-suite` job gates on that.
 fn run_lint(args: &[String]) -> Result<(String, bool), String> {
-    let check = args.iter().any(|a| a == "--check");
-    let emit_pos = args.iter().position(|a| a == "--emit-json");
-    let emit: Option<String> = emit_pos.map(|p| match args.get(p + 1) {
-        Some(next) if !next.starts_with('-') => next.clone(),
-        _ => "lint_report.json".to_string(),
-    });
+    let check = has_flag(args, "--check");
+    let emit = emit_json_path(args, "lint_report.json");
     // Reject anything unrecognised: CI gates on this subcommand, so a
     // typo'd `--check` must fail loudly, never silently stop gating.
     let lint_pos = args.iter().position(|a| a == "lint").unwrap_or(0);
-    let emit_path_pos = emit_pos.filter(|&p| emit == args.get(p + 1).cloned()).map(|p| p + 1);
+    let emit_path_pos = args
+        .iter()
+        .position(|a| a == "--emit-json")
+        .filter(|&p| emit.as_ref() == args.get(p + 1))
+        .map(|p| p + 1);
     for (i, a) in args.iter().enumerate().skip(lint_pos + 1) {
         if a == "--check" || a == "--emit-json" || Some(i) == emit_path_pos {
             continue;
@@ -541,6 +527,13 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
         .position(|a| a == flag)
         .and_then(|p| args.get(p + 1))
         .filter(|a| !a.starts_with('-'))
+}
+
+/// The `--emit-json [path]` target: `None` without the flag, else its
+/// operand, or `default` when no operand follows.
+fn emit_json_path(args: &[String], default: &str) -> Option<String> {
+    has_flag(args, "--emit-json")
+        .then(|| flag_value(args, "--emit-json").map_or_else(|| default.to_string(), String::clone))
 }
 
 /// The numeric operand of `flag`; an unparseable operand is a typed error.
@@ -641,11 +634,7 @@ fn run_sweep(args: &[String]) -> DvsResult<(String, bool)> {
         &cfg,
     )?;
     let mut text = out.render();
-    if let Some(pos) = args.iter().position(|a| a == "--emit-json") {
-        let path = match args.get(pos + 1) {
-            Some(next) if !next.starts_with('-') => next.clone(),
-            _ => "sweep_report.json".to_string(),
-        };
+    if let Some(path) = emit_json_path(args, "sweep_report.json") {
         // The emitted artifact is the byte-identity surface: identical for
         // interrupted+resumed and uninterrupted runs at any --jobs value.
         write_text(Path::new(&path), &(out.report.to_json() + "\n"))?;
@@ -662,11 +651,7 @@ fn run_compose(args: &[String]) -> DvsResult<(String, bool)> {
     let cfg = parse_resilience(args)?;
     let out = run_compose_resilient(sweep::default_jobs(), &cfg)?;
     let mut text = out.render();
-    if let Some(pos) = args.iter().position(|a| a == "--emit-json") {
-        let path = match args.get(pos + 1) {
-            Some(next) if !next.starts_with('-') => next.clone(),
-            _ => "compose_report.json".to_string(),
-        };
+    if let Some(path) = emit_json_path(args, "compose_report.json") {
         let json = serde_json::to_string_pretty(&out)
             .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
         write_text(Path::new(&path), &(json + "\n"))?;
@@ -676,12 +661,14 @@ fn run_compose(args: &[String]) -> DvsResult<(String, bool)> {
 }
 
 /// Runs `repro fleet`: a seeded device population through the resilient
-/// executor (shards as cells), reduced to mergeable sketches. With
-/// `--bench` (or `--check`, which implies it) runs the throughput
-/// comparison instead and gates against a committed baseline.
+/// executor (shards as cells), reduced to mergeable sketches.
 fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
     if has_flag(args, "--bench") || has_flag(args, "--check") {
-        return run_fleet_bench(args).map(|text| (text, false));
+        return Err(DvsError::InvalidConfig(
+            "repro fleet no longer benchmarks; run `repro bench fleet [--quick] \
+             [--emit-json [path]] [--check <baseline>]`"
+                .into(),
+        ));
     }
     apply_jobs_flag(args)?;
     let cfg = parse_resilience(args)?;
@@ -718,11 +705,7 @@ fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
     let trace_dir = flag_value(args, "--trace-dir").map(PathBuf::from);
     let out = run_fleet_resilient_with(&spec, shards, jobs, engine, &cfg, trace_dir.as_deref())?;
     let mut text = out.render();
-    if let Some(pos) = args.iter().position(|a| a == "--emit-json") {
-        let path = match args.get(pos + 1) {
-            Some(next) if !next.starts_with('-') => next.clone(),
-            _ => "fleet_report.json".to_string(),
-        };
+    if let Some(path) = emit_json_path(args, "fleet_report.json") {
         // The emitted artifact is the byte-identity surface: identical for
         // interrupted+resumed and uninterrupted runs at any --jobs value,
         // any shard count, and either engine.
@@ -730,42 +713,6 @@ fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
         text.push_str(&format!("wrote {path}\n"));
     }
     Ok((text, out.degraded()))
-}
-
-/// The `repro fleet --bench` arm: mirrors `repro bench` flag handling.
-fn run_fleet_bench(args: &[String]) -> DvsResult<String> {
-    let quick = has_flag(args, "--quick");
-    let emit: Option<String> =
-        args.iter().position(|a| a == "--emit-json").map(|p| match args.get(p + 1) {
-            Some(next) if !next.starts_with('-') => next.clone(),
-            _ => "BENCH_fleet.json".to_string(),
-        });
-    let check_path: Option<&String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|p| args.get(p + 1))
-        .filter(|a| !a.starts_with('-'));
-    let result = fleetbench::run(quick);
-    let notes = match check_path {
-        Some(path) => {
-            let json = read_text(Path::new(path))?;
-            let baseline: FleetBench = serde_json::from_str(&json)
-                .map_err(|e| DvsError::InvalidConfig(format!("parse {path}: {e}")))?;
-            Some(fleetbench::check(&result, &baseline).map_err(DvsError::InvalidConfig)?)
-        }
-        None => None,
-    };
-    let mut out = fleetbench::render(&result);
-    if let Some(path) = emit {
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        write_text(Path::new(&path), &(json + "\n"))?;
-        out.push_str(&format!("wrote {path}\n"));
-    }
-    if let Some(notes) = notes {
-        out.push_str(&notes);
-    }
-    Ok(out)
 }
 
 /// Runs `repro trace record|info|convert`: the binary trace tooling

@@ -5,13 +5,11 @@
 //! [`run_fleet_resilient`] — sampling, trace generation, simulation, and
 //! sketch reduction all inside the timed window, so `devices_per_min` is an
 //! honest end-to-end figure, not a kernel-only one. The arms' reports are
-//! asserted byte-identical in-run: a throughput number from a diverging
-//! kernel is worthless.
+//! compared byte for byte in-run and a mismatch fails the run: a throughput
+//! number from a diverging kernel is worthless.
 //!
-//! The committed baseline lives in `BENCH_fleet.json`; `repro fleet --check`
-//! gates fresh runs against it. The [`DEVICES_PER_MIN_FLOOR`] gate is
-//! absolute and applies in every mode; baseline-relative gates (20 %
-//! tolerance) apply only when the workload modes match.
+//! The committed baseline lives in `BENCH_fleet.json`; `repro bench fleet
+//! --check <baseline>` applies [`GATES`] against it.
 
 use std::time::Instant;
 
@@ -19,8 +17,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::alloc_track;
 use crate::fleet::{run_fleet_resilient, FleetEngine, ResilientFleet};
+use crate::perf::{Bench, Gate, Kind};
 use crate::resilient::ResilienceConfig;
 use crate::sweep::default_jobs;
+use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::FleetSpec;
 
 /// Throughput of one fleet arm over the benchmark population.
@@ -86,14 +86,18 @@ fn run_arm(
     shards: usize,
     jobs: usize,
     engine: FleetEngine,
-) -> (ResilientFleet, FleetThroughput) {
+) -> DvsResult<(ResilientFleet, FleetThroughput)> {
     let alloc_start = alloc_track::snapshot();
     let start = Instant::now();
-    let out = run_fleet_resilient(spec, shards, jobs, engine, &ResilienceConfig::default())
-        .expect("benchmark population always validates");
+    let out = run_fleet_resilient(spec, shards, jobs, engine, &ResilienceConfig::default())?;
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     let alloc = alloc_track::delta_since(alloc_start);
-    assert!(!out.degraded(), "benchmark arm quarantined shards without injected faults");
+    if let Some(q) = out.report.quarantine.entries.first() {
+        return Err(DvsError::CellFailed {
+            key: q.key.clone(),
+            cause: format!("benchmark shard quarantined without injected faults: {}", q.cause),
+        });
+    }
     let throughput = FleetThroughput {
         engine: engine.name().to_string(),
         devices: spec.devices,
@@ -103,25 +107,32 @@ fn run_arm(
         bytes_allocated: alloc.bytes,
         allocations: alloc.allocs,
     };
-    (out, throughput)
+    Ok((out, throughput))
 }
 
 /// Runs both arms over `spec` and cross-checks their reports.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the batched report is not byte-identical to the per-device
-/// report — a correctness failure, not a performance one.
-pub fn run_population(spec: &FleetSpec, shards: usize, jobs: usize, quick: bool) -> FleetBench {
-    let (batched_out, batched) = run_arm(spec, shards, jobs, FleetEngine::Batched);
-    let (solo_out, per_device) = run_arm(spec, shards, jobs, FleetEngine::PerDevice);
-    assert_eq!(
-        batched_out.report.to_json().expect("fleet reports serialize"),
-        solo_out.report.to_json().expect("fleet reports serialize"),
-        "batched report diverged from the per-device oracle"
-    );
+/// Fails if either arm quarantines a shard, or if the batched report is not
+/// byte-identical to the per-device report — a correctness failure, not a
+/// performance one.
+pub fn run_population(
+    spec: &FleetSpec,
+    shards: usize,
+    jobs: usize,
+    quick: bool,
+) -> DvsResult<FleetBench> {
+    let (batched_out, batched) = run_arm(spec, shards, jobs, FleetEngine::Batched)?;
+    let (solo_out, per_device) = run_arm(spec, shards, jobs, FleetEngine::PerDevice)?;
+    if batched_out.report.to_json()? != solo_out.report.to_json()? {
+        return Err(DvsError::GoldenMismatch {
+            path: "the per-device oracle".into(),
+            detail: format!("population '{}': batched fleet report diverged", spec.name),
+        });
+    }
     let batch_speedup = batched.devices_per_min / per_device.devices_per_min.max(1e-9);
-    FleetBench {
+    Ok(FleetBench {
         population: spec.name.clone(),
         quick,
         devices: spec.devices,
@@ -131,11 +142,11 @@ pub fn run_population(spec: &FleetSpec, shards: usize, jobs: usize, quick: bool)
         batched,
         per_device,
         batch_speedup,
-    }
+    })
 }
 
 /// Runs the full comparison. `quick` selects the reduced CI workload.
-pub fn run(quick: bool) -> FleetBench {
+pub fn run(quick: bool) -> DvsResult<FleetBench> {
     let spec = bench_population(quick);
     let jobs = default_jobs();
     // Enough shards that every worker stays busy through the tail, few
@@ -171,101 +182,43 @@ pub fn render(b: &FleetBench) -> String {
     out
 }
 
-/// The minimum batched-arm throughput any run must show — the tentpole's
+/// The minimum batched-arm throughput any run must show — the fleet's
 /// acceptance floor: one million simulated devices per minute.
 pub const DEVICES_PER_MIN_FLOOR: f64 = 1_000_000.0;
 
-/// Gates a fresh result against a committed baseline.
-///
-/// The [`DEVICES_PER_MIN_FLOOR`] gate is absolute: throughput is a rate, so
-/// it applies whether the run was quick or full. Baseline-relative gates
-/// (batched devices/min and batch speedup, 20 % tolerance) apply only when
-/// both runs used the same workload mode; the batch speedup itself is
-/// reported but not floor-gated — both arms share the event core, so the
-/// ratio is a dispatch-overhead figure, not a correctness one.
-pub fn check(current: &FleetBench, baseline: &FleetBench) -> Result<String, String> {
-    let mut notes = String::new();
-    if current.batched.devices_per_min < DEVICES_PER_MIN_FLOOR {
-        return Err(format!(
-            "fleet throughput {:.0} devices/min is below the {:.0} floor",
-            current.batched.devices_per_min, DEVICES_PER_MIN_FLOOR
-        ));
+impl Bench for FleetBench {
+    fn quick(&self) -> bool {
+        self.quick
     }
-    notes.push_str(&format!(
-        "throughput {:.2}M devices/min clears the {:.0}M floor\n",
-        current.batched.devices_per_min / 1e6,
-        DEVICES_PER_MIN_FLOOR / 1e6
-    ));
-    if current.batch_speedup < 1.0 {
-        notes.push_str(&format!(
-            "note: batch kernel is not ahead of the per-device oracle ({:.2}x)\n",
-            current.batch_speedup
-        ));
-    } else {
-        notes.push_str(&format!("batch speedup {:.2}x\n", current.batch_speedup));
-    }
-    if current.quick != baseline.quick {
-        notes.push_str("workload modes differ (quick vs full): only the absolute floor applies\n");
-        return Ok(notes);
-    }
-    if current.batched.devices_per_min < 0.8 * baseline.batched.devices_per_min {
-        return Err(format!(
-            "fleet throughput regressed: {:.0} devices/min now vs {:.0} baseline (>20% drop)",
-            current.batched.devices_per_min, baseline.batched.devices_per_min
-        ));
-    }
-    notes.push_str(&format!(
-        "devices/min {:.0} vs baseline {:.0}: ok\n",
-        current.batched.devices_per_min, baseline.batched.devices_per_min
-    ));
-    if current.batch_speedup < 0.8 * baseline.batch_speedup {
-        return Err(format!(
-            "batch speedup regressed: {:.2}x now vs {:.2}x baseline (>20% drop)",
-            current.batch_speedup, baseline.batch_speedup
-        ));
-    }
-    notes.push_str(&format!(
-        "batch speedup {:.2}x vs baseline {:.2}x: ok\n",
-        current.batch_speedup, baseline.batch_speedup
-    ));
-    Ok(notes)
 }
+
+/// The fleet gates. Throughput is a rate, so its floor applies in quick and
+/// full mode alike. The batch speedup is gated against the baseline but has
+/// no floor: both arms share the event core, so the ratio measures dispatch
+/// overhead, not correctness.
+pub const GATES: &[Gate<FleetBench>] = &[
+    Gate {
+        metric: "batched.devices_per_min",
+        value: |b| b.batched.devices_per_min,
+        kind: Kind::Floor(DEVICES_PER_MIN_FLOOR),
+    },
+    Gate {
+        metric: "batched.devices_per_min",
+        value: |b| b.batched.devices_per_min,
+        kind: Kind::Drop(0.20),
+    },
+    Gate { metric: "batch_speedup", value: |b| b.batch_speedup, kind: Kind::Drop(0.20) },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn arm(devices_per_min: f64) -> FleetThroughput {
-        FleetThroughput {
-            engine: "batched".into(),
-            devices: 1000,
-            frames: FRAMES_PER_DEVICE,
-            elapsed_secs: 1.0,
-            devices_per_min,
-            bytes_allocated: 0,
-            allocations: 0,
-        }
-    }
-
-    fn bench(devices_per_min: f64, speedup: f64, quick: bool) -> FleetBench {
-        FleetBench {
-            population: "bench".into(),
-            quick,
-            devices: 1000,
-            frames: FRAMES_PER_DEVICE,
-            shards: 16,
-            jobs: 4,
-            batched: arm(devices_per_min),
-            per_device: arm(devices_per_min / speedup.max(1e-9)),
-            batch_speedup: speedup,
-        }
-    }
-
     #[test]
     fn tiny_population_arms_agree_and_roundtrip_through_json() {
-        // run_population panics internally if the arms diverge.
+        // run_population fails if the arms diverge.
         let spec = FleetSpec::tiny(60, 24);
-        let b = run_population(&spec, 4, 2, true);
+        let b = run_population(&spec, 4, 2, true).unwrap();
         assert_eq!(b.devices, 60);
         assert!(b.batched.devices_per_min > 0.0);
         let json = serde_json::to_string_pretty(&b).unwrap();
@@ -273,21 +226,5 @@ mod tests {
         assert_eq!(back.shards, b.shards);
         assert!(render(&back).contains("devices/min"));
         assert!(render(&back).contains("batch speedup"));
-    }
-
-    #[test]
-    fn check_gates_on_floor_and_regression() {
-        let base = bench(4e6, 1.5, false);
-        // Clears the floor and matches the baseline.
-        assert!(check(&bench(4e6, 1.5, false), &base).is_ok());
-        // Below the absolute floor: always an error.
-        assert!(check(&bench(5e5, 1.5, false), &base).unwrap_err().contains("floor"));
-        // >20% throughput drop against a same-mode baseline.
-        assert!(check(&bench(3e6, 1.5, false), &base).unwrap_err().contains("regressed"));
-        // >20% speedup drop against a same-mode baseline.
-        assert!(check(&bench(4e6, 1.0, false), &base).unwrap_err().contains("speedup"));
-        // Mode mismatch: relative gates skipped, floor still applies.
-        assert!(check(&bench(3e6, 1.0, true), &base).is_ok());
-        assert!(check(&bench(5e5, 1.0, true), &base).is_err());
     }
 }

@@ -32,6 +32,7 @@ pub mod fleet;
 pub mod fleetbench;
 pub mod fps_report;
 pub mod golden;
+pub mod perf;
 pub mod power;
 pub mod resilient;
 pub mod sec66_chromium;

@@ -7,16 +7,19 @@
 //! produce byte-identical reports — the differential suite pins that — so
 //! the comparison here is pure dispatch overhead.
 //!
-//! `repro bench` drives this module from the command line; `--emit-json`
-//! writes the machine-readable result (`BENCH_simcore.json` by convention,
-//! committed as the CI regression baseline) and `--check <baseline>` gates
-//! against it.
+//! `repro bench` (or `repro bench simcore`) drives this module from the
+//! command line; `--emit-json` writes the machine-readable result
+//! (`BENCH_simcore.json` by convention, committed as the CI regression
+//! baseline) and `--check <baseline>` applies [`GATES`] against it.
 
 use std::time::Instant;
 
 use dvs_pipeline::{PipelineConfig, SimCore, Simulator, VsyncPacer};
+use dvs_sim::DvsResult;
 use dvs_workload::FrameTrace;
 use serde::{Deserialize, Serialize};
+
+use crate::perf::{Bench, Gate, Kind};
 
 /// Throughput of one execution engine over the benchmark workload.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -69,7 +72,11 @@ pub fn bench_traces(quick: bool) -> Vec<FrameTrace> {
 
 /// Times `reps` passes of `traces` through one engine, accumulating the
 /// engine's own event counters. Trace generation is excluded from timing.
-pub fn measure_core(traces: &[FrameTrace], core: SimCore, reps: usize) -> CoreThroughput {
+pub fn measure_core(
+    traces: &[FrameTrace],
+    core: SimCore,
+    reps: usize,
+) -> DvsResult<CoreThroughput> {
     let mut events = 0u64;
     let mut polls = 0u64;
     let start = Instant::now();
@@ -78,14 +85,13 @@ pub fn measure_core(traces: &[FrameTrace], core: SimCore, reps: usize) -> CoreTh
             let cfg = PipelineConfig::new(trace.rate_hz, 3);
             let (_, stats) = Simulator::new(&cfg)
                 .with_core(core)
-                .try_run_instrumented(trace, &mut VsyncPacer::new())
-                .expect("benchmark traces are valid");
+                .try_run_instrumented(trace, &mut VsyncPacer::new())?;
             events += stats.events_processed;
             polls += stats.polls;
         }
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    CoreThroughput {
+    Ok(CoreThroughput {
         core: match core {
             SimCore::EventHeap => "event-heap".to_string(),
             SimCore::Reference => "reference".to_string(),
@@ -96,19 +102,19 @@ pub fn measure_core(traces: &[FrameTrace], core: SimCore, reps: usize) -> CoreTh
         events_per_sec: events as f64 / elapsed,
         events_processed: events,
         polls,
-    }
+    })
 }
 
 /// Runs the full comparison. `quick` selects the reduced CI workload.
-pub fn run(quick: bool) -> SimcoreBench {
+pub fn run(quick: bool) -> DvsResult<SimcoreBench> {
     let traces = bench_traces(quick);
     let frames: usize = traces.iter().map(|t| t.len()).sum();
     // The heap engine is fast enough that several passes are needed for a
     // stable wall-clock reading; one pass of the tick-stepper is plenty.
-    let event_heap = measure_core(&traces, SimCore::EventHeap, if quick { 3 } else { 10 });
-    let reference = measure_core(&traces, SimCore::Reference, 1);
+    let event_heap = measure_core(&traces, SimCore::EventHeap, if quick { 3 } else { 10 })?;
+    let reference = measure_core(&traces, SimCore::Reference, 1)?;
     let speedup = event_heap.scenarios_per_sec / reference.scenarios_per_sec.max(1e-9);
-    SimcoreBench {
+    Ok(SimcoreBench {
         suite: if quick { "suite75 (quick: every 5th case)" } else { "suite75" }.to_string(),
         quick,
         scenarios: traces.len(),
@@ -116,7 +122,7 @@ pub fn run(quick: bool) -> SimcoreBench {
         event_heap,
         reference,
         speedup,
-    }
+    })
 }
 
 /// Renders the comparison as an aligned text table.
@@ -141,57 +147,24 @@ pub fn render(b: &SimcoreBench) -> String {
     out
 }
 
-/// The minimum event-heap-over-reference speedup any run must show — the
-/// tentpole's acceptance floor.
-pub const SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Gates a fresh result against a committed baseline.
-///
-/// When both runs used the same workload mode, fails if the speedup or the
-/// event-heap's absolute events/sec regressed more than 20 % below the
-/// baseline. When the modes differ (quick smoke vs full baseline) the two
-/// are not comparable — different scenario mixes yield different ratios — so
-/// only the absolute [`SPEEDUP_FLOOR`] applies. The speedup ratio is the
-/// primary gate in either case because it compares the two engines within
-/// the *same* run, making it insensitive to runner hardware.
-pub fn check(current: &SimcoreBench, baseline: &SimcoreBench) -> Result<String, String> {
-    let mut notes = String::new();
-    if current.speedup < SPEEDUP_FLOOR {
-        return Err(format!(
-            "speedup {:.1}x is below the {SPEEDUP_FLOOR}x acceptance floor",
-            current.speedup
-        ));
+impl Bench for SimcoreBench {
+    fn quick(&self) -> bool {
+        self.quick
     }
-    if current.quick != baseline.quick {
-        notes.push_str(&format!(
-            "workload modes differ (quick vs full): only the {SPEEDUP_FLOOR}x floor applies; \
-             speedup {:.1}x: ok\n",
-            current.speedup
-        ));
-        return Ok(notes);
-    }
-    if current.speedup < 0.8 * baseline.speedup {
-        return Err(format!(
-            "speedup regressed: {:.1}x now vs {:.1}x baseline (>20% drop)",
-            current.speedup, baseline.speedup
-        ));
-    }
-    notes.push_str(&format!(
-        "speedup {:.1}x vs baseline {:.1}x: ok\n",
-        current.speedup, baseline.speedup
-    ));
-    if current.event_heap.events_per_sec < 0.8 * baseline.event_heap.events_per_sec {
-        return Err(format!(
-            "event-heap events/sec regressed: {:.0} now vs {:.0} baseline (>20% drop)",
-            current.event_heap.events_per_sec, baseline.event_heap.events_per_sec
-        ));
-    }
-    notes.push_str(&format!(
-        "event-heap events/sec {:.0} vs baseline {:.0}: ok\n",
-        current.event_heap.events_per_sec, baseline.event_heap.events_per_sec
-    ));
-    Ok(notes)
 }
+
+/// The simcore gates. The in-run speedup is the primary gate because both
+/// engines run on the same machine, which makes it insensitive to runner
+/// hardware; its 5× floor is the event-heap core's acceptance floor.
+pub const GATES: &[Gate<SimcoreBench>] = &[
+    Gate { metric: "speedup", value: |b| b.speedup, kind: Kind::Floor(5.0) },
+    Gate { metric: "speedup", value: |b| b.speedup, kind: Kind::Drop(0.20) },
+    Gate {
+        metric: "event_heap.events_per_sec",
+        value: |b| b.event_heap.events_per_sec,
+        kind: Kind::Drop(0.20),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -209,8 +182,8 @@ mod tests {
     #[test]
     fn event_heap_beats_reference_on_any_workload() {
         let traces = tiny_traces();
-        let heap = measure_core(&traces, SimCore::EventHeap, 2);
-        let reference = measure_core(&traces, SimCore::Reference, 1);
+        let heap = measure_core(&traces, SimCore::EventHeap, 2).unwrap();
+        let reference = measure_core(&traces, SimCore::Reference, 1).unwrap();
         assert_eq!(heap.polls, 0);
         assert!(reference.polls > reference.events_processed);
         assert!(
@@ -224,8 +197,8 @@ mod tests {
     #[test]
     fn result_roundtrips_through_json() {
         let traces = tiny_traces();
-        let heap = measure_core(&traces, SimCore::EventHeap, 1);
-        let reference = measure_core(&traces, SimCore::Reference, 1);
+        let heap = measure_core(&traces, SimCore::EventHeap, 1).unwrap();
+        let reference = measure_core(&traces, SimCore::Reference, 1).unwrap();
         let bench = SimcoreBench {
             suite: "tiny".into(),
             quick: true,
@@ -239,25 +212,5 @@ mod tests {
         let back: SimcoreBench = serde_json::from_str(&json).unwrap();
         assert_eq!(back.scenarios, bench.scenarios);
         assert!(render(&back).contains("speedup"));
-    }
-
-    #[test]
-    fn check_gates_on_speedup_regression() {
-        let traces = tiny_traces();
-        let heap = measure_core(&traces, SimCore::EventHeap, 1);
-        let reference = measure_core(&traces, SimCore::Reference, 1);
-        let bench = SimcoreBench {
-            suite: "tiny".into(),
-            quick: true,
-            scenarios: traces.len(),
-            frames: traces.iter().map(|t| t.len()).sum(),
-            speedup: 10.0,
-            event_heap: heap,
-            reference,
-        };
-        let mut regressed = bench.clone();
-        regressed.speedup = 7.0; // below 0.8 × 10.0
-        assert!(check(&bench, &bench).is_ok());
-        assert!(check(&regressed, &bench).is_err());
     }
 }

@@ -18,7 +18,8 @@
 //!
 //! `repro bench sweep` drives this module; `--emit-json` writes the
 //! machine-readable result (`BENCH_sweep.json` by convention, committed as
-//! the CI regression baseline) and `--check <baseline>` gates against it.
+//! the CI regression baseline) and `--check <baseline>` applies [`GATES`]
+//! against it.
 
 use std::time::Instant;
 
@@ -26,6 +27,7 @@ use dvs_workload::ScenarioSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc_track;
+use crate::perf::{Bench, Gate, Kind};
 use crate::resilient::{run_suite_resilient, ResilienceConfig};
 use crate::sweep::{run_suite_cached, GridCache, SweepMode, SweepStats};
 
@@ -298,88 +300,31 @@ pub fn render(b: &SweepBench) -> String {
     out
 }
 
-/// The minimum optimized-over-classic speedup any run must show — the
-/// tentpole's acceptance floor.
-pub const CELLS_SPEEDUP_FLOOR: f64 = 3.0;
-
-/// Gates a fresh result against a committed baseline.
-///
-/// The speedup ratio compares the two arms within the *same* run, so it is
-/// insensitive to runner hardware and gates unconditionally against
-/// [`CELLS_SPEEDUP_FLOOR`]. When the allocation counters are live (the
-/// `repro` binary installs the counting allocator; plain `cargo test` does
-/// not), the optimized arm must also allocate fewer bytes than the classic
-/// arm. Baseline-relative gates (speedup and absolute cells/sec, 20 %
-/// tolerance) apply only when both runs used the same workload mode.
-pub fn check(current: &SweepBench, baseline: &SweepBench) -> Result<String, String> {
-    let mut notes = String::new();
-    if current.speedup < CELLS_SPEEDUP_FLOOR {
-        return Err(format!(
-            "sweep speedup {:.1}x is below the {CELLS_SPEEDUP_FLOOR}x acceptance floor",
-            current.speedup
-        ));
+impl Bench for SweepBench {
+    fn quick(&self) -> bool {
+        self.quick
     }
-    // The resilient arm (catch_unwind + disabled checkpointing on top of the
-    // optimized pipeline) must clear the same in-run floor: if the plumbing
-    // were expensive, this is the gate that catches it. The measured
-    // percentage is reported rather than hard-gated — a <2% figure is the
-    // expectation, but wall-clock percentages that small are runner noise.
-    if current.resilient_speedup < CELLS_SPEEDUP_FLOOR {
-        return Err(format!(
-            "resilient-arm speedup {:.1}x is below the {CELLS_SPEEDUP_FLOOR}x acceptance floor \
-             (resilience plumbing overhead {:+.2}% vs optimized)",
-            current.resilient_speedup, current.resilience_overhead_pct
-        ));
-    }
-    notes.push_str(&format!(
-        "resilience plumbing overhead vs optimized: {:+.2}% (floor-gated at {:.1}x)\n",
-        current.resilience_overhead_pct, current.resilient_speedup
-    ));
-    if current.classic.bytes_allocated > 0 && current.optimized.bytes_allocated > 0 {
-        if current.optimized.bytes_allocated >= current.classic.bytes_allocated {
-            return Err(format!(
-                "optimized arm allocated {} bytes, not less than the classic arm's {}",
-                current.optimized.bytes_allocated, current.classic.bytes_allocated
-            ));
-        }
-        notes.push_str(&format!(
-            "bytes allocated: optimized {} < classic {}: ok\n",
-            current.optimized.bytes_allocated, current.classic.bytes_allocated
-        ));
-    } else {
-        notes
-            .push_str("allocation counters inactive (no counting allocator): bytes gate skipped\n");
-    }
-    if current.quick != baseline.quick {
-        notes.push_str(&format!(
-            "workload modes differ (quick vs full): only the {CELLS_SPEEDUP_FLOOR}x floor \
-             applies; speedup {:.1}x: ok\n",
-            current.speedup
-        ));
-        return Ok(notes);
-    }
-    if current.speedup < 0.8 * baseline.speedup {
-        return Err(format!(
-            "sweep speedup regressed: {:.1}x now vs {:.1}x baseline (>20% drop)",
-            current.speedup, baseline.speedup
-        ));
-    }
-    notes.push_str(&format!(
-        "speedup {:.1}x vs baseline {:.1}x: ok\n",
-        current.speedup, baseline.speedup
-    ));
-    if current.optimized.cells_per_sec < 0.8 * baseline.optimized.cells_per_sec {
-        return Err(format!(
-            "optimized cells/sec regressed: {:.1} now vs {:.1} baseline (>20% drop)",
-            current.optimized.cells_per_sec, baseline.optimized.cells_per_sec
-        ));
-    }
-    notes.push_str(&format!(
-        "optimized cells/sec {:.1} vs baseline {:.1}: ok\n",
-        current.optimized.cells_per_sec, baseline.optimized.cells_per_sec
-    ));
-    Ok(notes)
 }
+
+/// The sweep gates. Both speedups compare arms of the same run, so their 3×
+/// floors are insensitive to runner hardware; the resilient arm clears the
+/// same floor, which is what would catch expensive resilience plumbing. The
+/// optimized arm must also allocate fewer bytes than the classic one.
+pub const GATES: &[Gate<SweepBench>] = &[
+    Gate { metric: "speedup", value: |b| b.speedup, kind: Kind::Floor(3.0) },
+    Gate { metric: "resilient_speedup", value: |b| b.resilient_speedup, kind: Kind::Floor(3.0) },
+    Gate {
+        metric: "optimized.bytes_allocated",
+        value: |b| b.optimized.bytes_allocated as f64,
+        kind: Kind::Below("classic.bytes_allocated", |b| b.classic.bytes_allocated as f64),
+    },
+    Gate { metric: "speedup", value: |b| b.speedup, kind: Kind::Drop(0.20) },
+    Gate {
+        metric: "optimized.cells_per_sec",
+        value: |b| b.optimized.cells_per_sec,
+        kind: Kind::Drop(0.20),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -407,54 +352,5 @@ mod tests {
         assert_eq!(back.scenarios, bench.scenarios);
         assert!(render(&back).contains("speedup"));
         assert!(render(&back).contains("trace cache"));
-    }
-
-    #[test]
-    fn check_gates_on_floor_regression_and_bytes() {
-        let arm = |cells_per_sec: f64, bytes: u64| SweepThroughput {
-            mode: "m".into(),
-            calls: 4,
-            cells: 600,
-            elapsed_secs: 1.0,
-            cells_per_sec,
-            bytes_allocated: bytes,
-            allocations: bytes / 64,
-        };
-        let bench = |speedup: f64, opt_bytes: u64, quick: bool| SweepBench {
-            suite: "t".into(),
-            quick,
-            scenarios: 75,
-            baseline_buffers: 3,
-            ladder: vec![4, 5, 6, 7],
-            classic: arm(100.0, 1_000_000),
-            optimized: arm(100.0 * speedup, opt_bytes),
-            resilient: arm(99.0 * speedup, opt_bytes),
-            speedup,
-            resilient_speedup: 0.99 * speedup,
-            resilience_overhead_pct: 1.0,
-            cache_hits: 225,
-            cache_misses: 75,
-        };
-        let good = bench(4.0, 200_000, false);
-        assert!(check(&good, &good).is_ok());
-        assert!(check(&good, &good).unwrap().contains("resilience plumbing overhead"));
-        // Below the absolute floor.
-        assert!(check(&bench(2.5, 200_000, false), &good).is_err());
-        // Resilient arm below the floor while the optimized arm clears it.
-        let mut slow_resilient = good.clone();
-        slow_resilient.resilient_speedup = 2.0;
-        assert!(check(&slow_resilient, &good).is_err());
-        // Optimized arm allocating more than classic.
-        assert!(check(&bench(4.0, 2_000_000, false), &good).is_err());
-        // >20% speedup regression vs baseline.
-        assert!(check(&bench(3.1, 200_000, false), &good).is_err());
-        // Mixed modes: only the floor applies, regression tolerated.
-        let msg = check(&bench(3.1, 200_000, true), &good).unwrap();
-        assert!(msg.contains("workload modes differ"));
-        // Zeroed counters (cargo test): bytes gate skipped.
-        let untracked = bench(4.0, 0, false);
-        let mut untracked_base = good.clone();
-        untracked_base.classic.bytes_allocated = 0;
-        assert!(check(&untracked, &good).is_ok());
     }
 }

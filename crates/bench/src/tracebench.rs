@@ -14,12 +14,14 @@
 //! `repro bench trace` drives this module from the command line;
 //! `--emit-json` writes the machine-readable result (`BENCH_trace.json` by
 //! convention, committed as the CI regression baseline) and
-//! `--check <baseline>` gates against it.
+//! `--check <baseline>` applies [`GATES`] against it.
 
 use std::time::Instant;
 
 use dvs_workload::FrameTrace;
 use serde::{Deserialize, Serialize};
+
+use crate::perf::{Bench, Gate, Kind};
 
 /// Decode throughput of one trace format over the benchmark corpus.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -171,79 +173,29 @@ pub fn render(b: &TraceBench) -> String {
     out
 }
 
-/// The minimum JSON-over-binary size ratio any run must show — half of the
-/// tentpole's acceptance floor. Deterministic: the ratio is a pure function
-/// of the committed encoder and the suite75 corpus.
-pub const SIZE_FLOOR: f64 = 5.0;
-
-/// The minimum binary-over-JSON decode speedup any run must show — the
-/// other half of the acceptance floor.
-pub const DECODE_FLOOR: f64 = 5.0;
-
-/// Gates a fresh result against a committed baseline.
-///
-/// The absolute floors apply always. The size ratio is additionally gated
-/// at 2 % of the baseline in *either* direction regardless of mode (both
-/// modes encode the full corpus, so any drift is a codec change that should
-/// come with a refreshed baseline). The decode-throughput gates (20 %
-/// relative) apply only when the workload modes match — rep counts differ
-/// otherwise. The speedup ratio compares the two decoders within the same
-/// run, making it insensitive to runner hardware.
-pub fn check(current: &TraceBench, baseline: &TraceBench) -> Result<String, String> {
-    let mut notes = String::new();
-    if current.size_ratio < SIZE_FLOOR {
-        return Err(format!(
-            "size ratio {:.2}x is below the {SIZE_FLOOR}x acceptance floor",
-            current.size_ratio
-        ));
+impl Bench for TraceBench {
+    fn quick(&self) -> bool {
+        self.quick
     }
-    if current.decode_speedup < DECODE_FLOOR {
-        return Err(format!(
-            "decode speedup {:.1}x is below the {DECODE_FLOOR}x acceptance floor",
-            current.decode_speedup
-        ));
-    }
-    if (current.size_ratio - baseline.size_ratio).abs() > 0.02 * baseline.size_ratio {
-        return Err(format!(
-            "size ratio drifted: {:.3}x now vs {:.3}x baseline (the ratio is deterministic — \
-             a codec change must refresh the committed baseline)",
-            current.size_ratio, baseline.size_ratio
-        ));
-    }
-    notes.push_str(&format!(
-        "size ratio {:.2}x vs baseline {:.2}x: ok\n",
-        current.size_ratio, baseline.size_ratio
-    ));
-    if current.quick != baseline.quick {
-        notes.push_str(&format!(
-            "workload modes differ (quick vs full): only the {DECODE_FLOOR}x floor applies to \
-             decode; speedup {:.1}x: ok\n",
-            current.decode_speedup
-        ));
-        return Ok(notes);
-    }
-    if current.decode_speedup < 0.8 * baseline.decode_speedup {
-        return Err(format!(
-            "decode speedup regressed: {:.1}x now vs {:.1}x baseline (>20% drop)",
-            current.decode_speedup, baseline.decode_speedup
-        ));
-    }
-    notes.push_str(&format!(
-        "decode speedup {:.1}x vs baseline {:.1}x: ok\n",
-        current.decode_speedup, baseline.decode_speedup
-    ));
-    if current.binary_decode.frames_per_sec < 0.8 * baseline.binary_decode.frames_per_sec {
-        return Err(format!(
-            "binary decode frames/sec regressed: {:.0} now vs {:.0} baseline (>20% drop)",
-            current.binary_decode.frames_per_sec, baseline.binary_decode.frames_per_sec
-        ));
-    }
-    notes.push_str(&format!(
-        "binary decode frames/sec {:.0} vs baseline {:.0}: ok\n",
-        current.binary_decode.frames_per_sec, baseline.binary_decode.frames_per_sec
-    ));
-    Ok(notes)
 }
+
+/// The trace gates: 5× floors on both halves of the codec's claim. Both
+/// modes encode the full corpus, so the size ratio is deterministic and
+/// also held within 2 % of the baseline either way: any drift is a codec
+/// change that must come with a refreshed baseline. The decode gates
+/// compare against the baseline only in the same mode, because the rep
+/// counts differ otherwise.
+pub const GATES: &[Gate<TraceBench>] = &[
+    Gate { metric: "size_ratio", value: |b| b.size_ratio, kind: Kind::Floor(5.0) },
+    Gate { metric: "decode_speedup", value: |b| b.decode_speedup, kind: Kind::Floor(5.0) },
+    Gate { metric: "size_ratio", value: |b| b.size_ratio, kind: Kind::Drift(0.02) },
+    Gate { metric: "decode_speedup", value: |b| b.decode_speedup, kind: Kind::Drop(0.20) },
+    Gate {
+        metric: "binary_decode.frames_per_sec",
+        value: |b| b.binary_decode.frames_per_sec,
+        kind: Kind::Drop(0.20),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -303,27 +255,5 @@ mod tests {
         let text = render(&back);
         assert!(text.contains("size ratio"));
         assert!(text.contains("decode speedup"));
-    }
-
-    #[test]
-    fn check_applies_floors_and_drift_gates() {
-        let mut good = tiny_bench();
-        // Pin the claim fields so the gate logic (not the tiny corpus)
-        // is under test.
-        good.size_ratio = 5.2;
-        good.decode_speedup = 20.0;
-        assert!(check(&good, &good).is_ok());
-
-        let mut below_floor = good.clone();
-        below_floor.size_ratio = 4.9;
-        assert!(check(&below_floor, &good).is_err());
-
-        let mut slow = good.clone();
-        slow.decode_speedup = 4.0;
-        assert!(check(&slow, &good).is_err());
-
-        let mut drifted = good.clone();
-        drifted.size_ratio = 5.5; // > 2% away from 5.2, even though larger
-        assert!(check(&drifted, &good).is_err());
     }
 }

@@ -154,6 +154,29 @@ fn exit_code_one_on_hard_errors() {
     let _ = std::fs::remove_file(&ck);
 }
 
+/// Exit code 1 before anything runs: a bench command line that could not
+/// gate as written (no baseline after `--check`, a typo'd flag, an unknown
+/// suite), and the removed `repro fleet --bench/--check` spelling, which
+/// must not fall through to a plain fleet run.
+#[test]
+fn exit_code_one_when_a_bench_gate_would_not_run() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["bench", "--quick", "--check"], "--check needs a baseline path"),
+        (&["bench", "--check", "--quick"], "--check needs a baseline path"),
+        (&["bench", "--quick", "--chek", "BENCH_simcore.json"], "unknown argument `--chek`"),
+        (&["bench", "nosuch", "--quick"], "unknown suite `nosuch`"),
+        (&["fleet", "--check", "BENCH_fleet.json"], "repro bench fleet"),
+        (&["fleet", "--tiny", "--bench"], "repro bench fleet"),
+    ];
+    for (args, needle) in cases {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+}
+
 /// The full CLI round trip of the acceptance criterion: crash mid-sweep,
 /// resume at a different worker count, and the emitted JSON report is
 /// byte-identical to the uninterrupted run's.
