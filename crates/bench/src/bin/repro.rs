@@ -337,6 +337,8 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 # record the benchmark corpora as compact binary traces\n\
          \x20                 # (docs/trace.md); --fitted records calibrated sweep traces,\n\
          \x20                 # --fleet records per-device traces for repro fleet\n\
+         \x20                 # --trace-dir; it reads the same --tiny/--quick/--devices/\n\
+         \x20                 # --frames flags as repro fleet, so both pick one population\n\
          \x20      repro trace info <file.dvst>       # header + block summary\n\
          \x20      repro trace convert <in> <out>     # JSON <-> binary (.dvst)\n\
          \x20      repro ingest <log> [--name N] [--rate HZ] [--ui-share F] [--out <dir>]\n\
@@ -660,6 +662,31 @@ fn run_compose(args: &[String]) -> DvsResult<(String, bool)> {
     Ok((text, out.degraded()))
 }
 
+/// The population `repro fleet` runs and `repro trace record --fleet`
+/// records, read from the same `--tiny/--quick/--devices/--frames` flags: a
+/// recording replays only the population it was made from, so both
+/// commands must resolve identical flags to the identical spec.
+fn fleet_spec(args: &[String]) -> DvsResult<FleetSpec> {
+    let tiny = has_flag(args, "--tiny");
+    let frames: usize = flag_num(args, "--frames")?.unwrap_or(if tiny {
+        24
+    } else {
+        fleetbench::FRAMES_PER_DEVICE
+    });
+    let devices: u64 = flag_num(args, "--devices")?.unwrap_or(if tiny {
+        96
+    } else if has_flag(args, "--quick") {
+        20_000
+    } else {
+        200_000
+    });
+    Ok(if tiny {
+        FleetSpec::tiny(devices, frames)
+    } else {
+        FleetSpec::default_population("cli", devices, frames)
+    })
+}
+
 /// Runs `repro fleet`: a seeded device population through the resilient
 /// executor (shards as cells), reduced to mergeable sketches.
 fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
@@ -672,25 +699,7 @@ fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
     }
     apply_jobs_flag(args)?;
     let cfg = parse_resilience(args)?;
-    let tiny = has_flag(args, "--tiny");
-    let quick = has_flag(args, "--quick");
-    let frames: usize = flag_num(args, "--frames")?.unwrap_or(if tiny {
-        24
-    } else {
-        fleetbench::FRAMES_PER_DEVICE
-    });
-    let devices: u64 = flag_num(args, "--devices")?.unwrap_or(if tiny {
-        96
-    } else if quick {
-        20_000
-    } else {
-        200_000
-    });
-    let spec = if tiny {
-        FleetSpec::tiny(devices, frames)
-    } else {
-        FleetSpec::default_population("cli", devices, frames)
-    };
+    let spec = fleet_spec(args)?;
     let engine = match flag_value(args, "--engine").map(String::as_str) {
         Some("per-device") => FleetEngine::PerDevice,
         Some("batched") | None => FleetEngine::Batched,
@@ -736,9 +745,7 @@ fn run_trace_tool(args: &[String]) -> DvsResult<String> {
             };
             let dir = Path::new(dir);
             if has_flag(args, "--fleet") {
-                let frames: usize = flag_num(args, "--frames")?.unwrap_or(24);
-                let devices: u64 = flag_num(args, "--devices")?.unwrap_or(96);
-                tracetool::record_fleet(&FleetSpec::tiny(devices, frames), dir)
+                tracetool::record_fleet(&fleet_spec(args)?, dir)
             } else {
                 let specs = if has_flag(args, "--tiny") {
                     tiny_suite()

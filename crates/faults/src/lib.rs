@@ -2,22 +2,27 @@
 //!
 //! A [`FaultPlan`] describes *what can go wrong* during a run: explicitly
 //! scheduled perturbations ([`FaultEvent`]) plus seeded-stochastic fault
-//! processes ([`StochasticFault`]). Before a run starts, the plan is
-//! [materialized](FaultPlan::materialize) over the run's horizon into a
-//! [`FaultSchedule`] — a concrete, fully-resolved set of fault firings the
-//! simulator consults with plain lookups.
+//! processes ([`StochasticFault`]). The simulator reads it through one of two
+//! views over the run's [`Horizon`]: a [`CompiledFaults`] stream, whose
+//! per-tick processes draw only as far as the run's tick frontier (the
+//! event-heap core), or the whole horizon [materialized](FaultPlan::materialize)
+//! into a [`FaultSchedule`] of ordered maps (the reference core, the
+//! compositor, golden files).
 //!
 //! # Determinism contract
 //!
-//! All stochastic draws happen *inside* `materialize`, seeded from
-//! [`dvs_sim::stable_seed`] of the plan's textual `seed_key` and iterated in
-//! a fixed order (plan entry order, then frame/tick order). The resulting
-//! schedule is therefore a pure function of `(plan, horizon)`:
+//! All stochastic draws are seeded from [`dvs_sim::stable_seed`] of the
+//! plan's textual `seed_key`; each process forks its own stream (by plan
+//! position) and draws in index order. The stream is **prefix-stable**: once
+//! [`CompiledFaults::advance`] has passed tick `k`, every answer at ticks
+//! `≤ k` equals the materialized schedule's — `materialize` is the stream
+//! advanced to the horizon's end. Therefore:
 //!
 //! * identical plan + seed ⇒ byte-identical fault stream, run after run,
 //!   regardless of worker thread, query order, or wall clock;
-//! * the simulator never draws randomness mid-run for faults, so *when* it
-//!   consults the schedule cannot perturb *what* faults fire.
+//! * the simulator never draws fault randomness that depends on its own
+//!   state — its progress decides only how far the stream is drawn, never
+//!   what a drawn tick holds.
 //!
 //! This is what makes a faulty run replayable: record the plan, not the
 //! symptoms.

@@ -1,8 +1,9 @@
 //! Fault plans: the declarative description of a run's adversity.
 
-use dvs_sim::{stable_seed, SimDuration, SimRng};
+use dvs_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
+use crate::compiled::CompiledFaults;
 use crate::schedule::FaultSchedule;
 
 /// One explicitly scheduled perturbation.
@@ -73,6 +74,13 @@ pub enum StochasticKind {
     VsyncJitter,
     /// Per-tick chance of buffer-allocation denial.
     AllocFail,
+}
+
+impl StochasticKind {
+    /// Whether the process draws once per trace frame (else once per tick).
+    pub(crate) fn is_per_frame(self) -> bool {
+        matches!(self, StochasticKind::GpuStall | StochasticKind::UiPause)
+    }
 }
 
 /// A seeded-stochastic fault process: every frame (or tick, depending on
@@ -148,75 +156,14 @@ impl FaultPlan {
     /// process gets its own forked stream (by position in the plan) and is
     /// swept over its whole frame/tick domain in index order. No draw
     /// depends on any other process, on query order, or on the simulator's
-    /// progress, so `(plan, horizon) → schedule` is a pure function.
+    /// progress, so `(plan, horizon) → schedule` is a pure function. This is
+    /// the [`CompiledFaults`] stream advanced to the horizon's end and
+    /// collected into ordered maps, so a stream agrees with it at every tick
+    /// it has drawn.
     pub fn materialize(&self, horizon: &Horizon) -> FaultSchedule {
-        let mut schedule = FaultSchedule::default();
-        let max_jitter = SimDuration::from_nanos((horizon.period.as_nanos() / 4).max(1));
-
-        for event in &self.scheduled {
-            schedule.apply_event(*event, horizon, max_jitter);
-        }
-
-        let mut root = SimRng::seed_from(stable_seed(&self.seed_key));
-        for (i, fault) in self.stochastic.iter().enumerate() {
-            let mut rng = root.fork(i as u64 + 1);
-            match fault.kind {
-                StochasticKind::GpuStall | StochasticKind::UiPause => {
-                    for frame in 0..horizon.frames {
-                        if rng.chance(fault.probability) {
-                            let extra = fault.magnitude.mul_f64(rng.next_range(0.5, 1.5));
-                            if extra.is_zero() {
-                                continue;
-                            }
-                            let event = if fault.kind == StochasticKind::UiPause {
-                                FaultEvent::StallUi { frame, extra }
-                            } else {
-                                FaultEvent::StallRs { frame, extra }
-                            };
-                            schedule.apply_event(event, horizon, max_jitter);
-                        }
-                    }
-                }
-                StochasticKind::VsyncMiss => {
-                    for tick in 1..=horizon.ticks {
-                        if rng.chance(fault.probability) {
-                            schedule.apply_event(
-                                FaultEvent::MissVsync { tick },
-                                horizon,
-                                max_jitter,
-                            );
-                        }
-                    }
-                }
-                StochasticKind::VsyncJitter => {
-                    for tick in 1..=horizon.ticks {
-                        if rng.chance(fault.probability) {
-                            let delay = fault.magnitude.mul_f64(rng.next_range(0.5, 1.5));
-                            if delay.is_zero() {
-                                continue;
-                            }
-                            schedule.apply_event(
-                                FaultEvent::JitterVsync { tick, delay },
-                                horizon,
-                                max_jitter,
-                            );
-                        }
-                    }
-                }
-                StochasticKind::AllocFail => {
-                    for tick in 1..=horizon.ticks {
-                        if rng.chance(fault.probability) {
-                            schedule.apply_event(
-                                FaultEvent::DenyAlloc { tick },
-                                horizon,
-                                max_jitter,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        schedule
+        let mut stream = CompiledFaults::stream(self, horizon);
+        stream.advance(horizon.ticks);
+        stream.to_schedule()
     }
 }
 

@@ -5,8 +5,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use dvs_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::plan::{FaultEvent, Horizon};
-
 /// A fully-resolved fault schedule for one run.
 ///
 /// Produced by [`FaultPlan::materialize`](crate::FaultPlan::materialize);
@@ -17,71 +15,20 @@ use crate::plan::{FaultEvent, Horizon};
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSchedule {
     /// Extra UI-stage time per trace frame index.
-    ui_extra: BTreeMap<u64, SimDuration>,
+    pub(crate) ui_extra: BTreeMap<u64, SimDuration>,
     /// Extra RS-stage time per trace frame index.
-    rs_extra: BTreeMap<u64, SimDuration>,
+    pub(crate) rs_extra: BTreeMap<u64, SimDuration>,
     /// Refresh ticks whose VSync pulse is swallowed.
-    missed_ticks: BTreeSet<u64>,
+    pub(crate) missed_ticks: BTreeSet<u64>,
     /// Late-firing refresh ticks and how late they fire.
-    tick_delay: BTreeMap<u64, SimDuration>,
+    pub(crate) tick_delay: BTreeMap<u64, SimDuration>,
     /// Refresh intervals during which buffer allocation is denied.
-    alloc_deny: BTreeSet<u64>,
+    pub(crate) alloc_deny: BTreeSet<u64>,
     /// Refresh-rate switches, strictly increasing in tick.
-    rate_switches: BTreeMap<u64, u32>,
+    pub(crate) rate_switches: BTreeMap<u64, u32>,
 }
 
 impl FaultSchedule {
-    /// Folds one event into the schedule, clamping and bounds-checking
-    /// against `horizon`. Ticks clamp to ≥ 1 (tick 0 anchors the timeline),
-    /// jitter clamps to `max_jitter` so pulses stay ordered, and rate 0 is
-    /// rejected outright.
-    pub(crate) fn apply_event(
-        &mut self,
-        event: FaultEvent,
-        horizon: &Horizon,
-        max_jitter: SimDuration,
-    ) {
-        match event {
-            FaultEvent::StallUi { frame, extra } => {
-                if frame < horizon.frames && !extra.is_zero() {
-                    let slot = self.ui_extra.entry(frame).or_insert(SimDuration::ZERO);
-                    *slot += extra;
-                }
-            }
-            FaultEvent::StallRs { frame, extra } => {
-                if frame < horizon.frames && !extra.is_zero() {
-                    let slot = self.rs_extra.entry(frame).or_insert(SimDuration::ZERO);
-                    *slot += extra;
-                }
-            }
-            FaultEvent::MissVsync { tick } => {
-                let tick = tick.max(1);
-                if tick <= horizon.ticks {
-                    self.missed_ticks.insert(tick);
-                }
-            }
-            FaultEvent::JitterVsync { tick, delay } => {
-                let tick = tick.max(1);
-                if tick <= horizon.ticks && !delay.is_zero() {
-                    let delay = delay.min(max_jitter);
-                    let slot = self.tick_delay.entry(tick).or_insert(SimDuration::ZERO);
-                    *slot = (*slot).max(delay);
-                }
-            }
-            FaultEvent::DenyAlloc { tick } => {
-                if tick <= horizon.ticks {
-                    self.alloc_deny.insert(tick);
-                }
-            }
-            FaultEvent::RateSwitch { tick, rate_hz } => {
-                let tick = tick.max(1);
-                if tick <= horizon.ticks && rate_hz > 0 {
-                    self.rate_switches.insert(tick, rate_hz);
-                }
-            }
-        }
-    }
-
     /// Extra UI-stage time injected into frame `frame` (zero when none).
     pub fn ui_extra(&self, frame: u64) -> SimDuration {
         self.ui_extra.get(&frame).copied().unwrap_or(SimDuration::ZERO)
@@ -118,31 +65,6 @@ impl FaultSchedule {
         crate::CompiledFaults::compile(self, ticks, frames)
     }
 
-    /// Iterator over swallowed ticks (compilation support).
-    pub(crate) fn missed_tick_iter(&self) -> impl Iterator<Item = &u64> {
-        self.missed_ticks.iter()
-    }
-
-    /// Iterator over pulse delays (compilation support).
-    pub(crate) fn tick_delay_iter(&self) -> impl Iterator<Item = (&u64, &SimDuration)> {
-        self.tick_delay.iter()
-    }
-
-    /// Iterator over denied intervals (compilation support).
-    pub(crate) fn alloc_deny_iter(&self) -> impl Iterator<Item = &u64> {
-        self.alloc_deny.iter()
-    }
-
-    /// Iterator over UI stalls (compilation support).
-    pub(crate) fn ui_extra_iter(&self) -> impl Iterator<Item = (&u64, &SimDuration)> {
-        self.ui_extra.iter()
-    }
-
-    /// Iterator over RS stalls (compilation support).
-    pub(crate) fn rs_extra_iter(&self) -> impl Iterator<Item = (&u64, &SimDuration)> {
-        self.rs_extra.iter()
-    }
-
     /// Total number of distinct fault firings in the schedule.
     pub fn fault_count(&self) -> usize {
         self.ui_extra.len()
@@ -162,55 +84,43 @@ impl FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{FaultEvent, FaultPlan, Horizon};
 
-    fn horizon() -> Horizon {
-        Horizon::new(10, 100, SimDuration::from_nanos(16_666_667))
+    fn materialize(events: &[FaultEvent]) -> FaultSchedule {
+        let horizon = Horizon::new(10, 100, SimDuration::from_nanos(16_666_667));
+        events.iter().fold(FaultPlan::new("sched"), |p, &e| p.with_event(e)).materialize(&horizon)
     }
 
     #[test]
     fn stacked_stalls_accumulate() {
-        let mut s = FaultSchedule::default();
-        let jit = SimDuration::from_millis(4);
         let e = FaultEvent::StallUi { frame: 2, extra: SimDuration::from_millis(3) };
-        s.apply_event(e, &horizon(), jit);
-        s.apply_event(e, &horizon(), jit);
+        let s = materialize(&[e, e]);
         assert_eq!(s.ui_extra(2), SimDuration::from_millis(6));
         assert_eq!(s.ui_extra(3), SimDuration::ZERO);
     }
 
     #[test]
     fn stacked_jitter_takes_max_not_sum() {
-        let mut s = FaultSchedule::default();
-        let jit = SimDuration::from_millis(4);
         let small = FaultEvent::JitterVsync { tick: 9, delay: SimDuration::from_millis(1) };
         let big = FaultEvent::JitterVsync { tick: 9, delay: SimDuration::from_millis(2) };
-        s.apply_event(big, &horizon(), jit);
-        s.apply_event(small, &horizon(), jit);
-        assert_eq!(s.tick_delay(9), SimDuration::from_millis(2));
+        assert_eq!(materialize(&[big, small]).tick_delay(9), SimDuration::from_millis(2));
     }
 
     #[test]
     fn zero_magnitude_events_are_noops() {
-        let mut s = FaultSchedule::default();
-        let jit = SimDuration::from_millis(4);
-        s.apply_event(FaultEvent::StallRs { frame: 1, extra: SimDuration::ZERO }, &horizon(), jit);
-        s.apply_event(
+        let s = materialize(&[
+            FaultEvent::StallRs { frame: 1, extra: SimDuration::ZERO },
             FaultEvent::JitterVsync { tick: 1, delay: SimDuration::ZERO },
-            &horizon(),
-            jit,
-        );
+        ]);
         assert!(s.is_empty());
     }
 
     #[test]
     fn serde_is_canonical() {
-        let mut s = FaultSchedule::default();
-        let jit = SimDuration::from_millis(4);
-        s.apply_event(FaultEvent::MissVsync { tick: 30 }, &horizon(), jit);
-        s.apply_event(FaultEvent::MissVsync { tick: 10 }, &horizon(), jit);
-        let mut t = FaultSchedule::default();
-        t.apply_event(FaultEvent::MissVsync { tick: 10 }, &horizon(), jit);
-        t.apply_event(FaultEvent::MissVsync { tick: 30 }, &horizon(), jit);
+        let s =
+            materialize(&[FaultEvent::MissVsync { tick: 30 }, FaultEvent::MissVsync { tick: 10 }]);
+        let t =
+            materialize(&[FaultEvent::MissVsync { tick: 10 }, FaultEvent::MissVsync { tick: 30 }]);
         assert_eq!(serde_json::to_string(&s).unwrap(), serde_json::to_string(&t).unwrap());
     }
 }

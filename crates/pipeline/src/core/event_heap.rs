@@ -9,13 +9,15 @@
 //! * the event heap is pre-sized to the worst-case population (one pending
 //!   tick + one wake + one UI completion + one render completion per
 //!   context, with slack for stale wakes);
-//! * fault lookups go through [`CompiledFaults`] — the materialized
-//!   schedule's ordered maps flattened once, up front, into dense arrays
-//!   (clean runs compile to five empty vectors and a zero flag word);
+//! * fault lookups go through the arena's pooled [`CompiledFaults`] stream:
+//!   dense arrays resolved straight from the plan, whose per-tick processes
+//!   draw lazily as each `Tick(k)` advances the frontier to `k + 1` — a run
+//!   pays for the ticks it reaches, not for its 20× safety cap (clean runs
+//!   keep empty tables and a zero flag word);
 //! * all per-frame state lives in vectors sized from the trace before the
 //!   first event fires.
 
-use dvs_faults::FaultSchedule;
+use dvs_faults::{CompiledFaults, FaultPlan};
 use dvs_metrics::RunReport;
 use dvs_workload::FrameTrace;
 
@@ -36,12 +38,12 @@ pub(crate) fn execute(
     cfg: &PipelineConfig,
     trace: &FrameTrace,
     pacer: &mut dyn FramePacer,
-    schedule: &FaultSchedule,
+    plan: Option<&FaultPlan>,
     arena: &mut RunArena,
     out: &mut RunReport,
 ) -> CoreStats {
-    let faults = schedule.compile(cfg.tick_cap(trace.len()), trace.len() as u64);
-    let (scratch, heap) = arena.split();
+    let (scratch, heap, faults) = arena.split();
+    CompiledFaults::restream(faults, plan, &cfg.fault_horizon(trace.len()));
     // A pooled heap must rewind its tie-break sequence counter so reused
     // runs stay bit-identical to fresh ones.
     heap.reset();

@@ -89,13 +89,18 @@ pub(crate) enum Ev {
     Wake,
 }
 
-/// Read-only view of a run's resolved fault stream.
+/// View of a run's resolved fault stream.
 ///
 /// The reference engine reads the materialized [`FaultSchedule`] directly
-/// (ordered-map probes); the event-heap engine reads the same schedule
-/// flattened into [`CompiledFaults`]. The differential suite holds the two
-/// views to identical answers.
+/// (ordered-map probes); the event-heap engine reads a [`CompiledFaults`]
+/// stream whose per-tick processes are drawn only as far as the run has
+/// reached. The differential suite holds the two views to identical answers.
 pub(crate) trait FaultView {
+    /// Makes every answer at ticks `≤ through` final. [`PipeState::step`]
+    /// calls it with `k + 1` on every `Tick(k)`, which covers each tick
+    /// query the core makes before the next pulse. A no-op for views that
+    /// are final over the whole horizon.
+    fn advance(&mut self, _through: u64) {}
     fn ui_extra(&self, frame: u64) -> SimDuration;
     fn rs_extra(&self, frame: u64) -> SimDuration;
     fn is_missed(&self, tick: u64) -> bool;
@@ -126,6 +131,10 @@ impl FaultView for FaultSchedule {
 }
 
 impl FaultView for CompiledFaults {
+    #[inline]
+    fn advance(&mut self, through: u64) {
+        CompiledFaults::advance(self, through);
+    }
     fn ui_extra(&self, frame: u64) -> SimDuration {
         CompiledFaults::ui_extra(self, frame)
     }
@@ -143,6 +152,32 @@ impl FaultView for CompiledFaults {
     }
     fn rate_switches(&self) -> Vec<(u64, u32)> {
         CompiledFaults::rate_switches(self).to_vec()
+    }
+}
+
+/// A stream pooled in a [`RunArena`] is borrowed for the run.
+impl<F: FaultView> FaultView for &mut F {
+    #[inline]
+    fn advance(&mut self, through: u64) {
+        F::advance(self, through);
+    }
+    fn ui_extra(&self, frame: u64) -> SimDuration {
+        F::ui_extra(self, frame)
+    }
+    fn rs_extra(&self, frame: u64) -> SimDuration {
+        F::rs_extra(self, frame)
+    }
+    fn is_missed(&self, tick: u64) -> bool {
+        F::is_missed(self, tick)
+    }
+    fn tick_delay(&self, tick: u64) -> SimDuration {
+        F::tick_delay(self, tick)
+    }
+    fn deny_alloc(&self, tick: u64) -> bool {
+        F::deny_alloc(self, tick)
+    }
+    fn rate_switches(&self) -> Vec<(u64, u32)> {
+        F::rate_switches(self)
     }
 }
 
@@ -181,6 +216,9 @@ pub struct RunArena {
     rs_pending: VecDeque<usize>,
     rs_finished: Vec<(usize, SimTime)>,
     heap: EventQueue<Ev>,
+    /// The event-heap engine's fault stream; its dense tables are cleared
+    /// per run and grow with the tick frontier.
+    faults: CompiledFaults,
     pub(crate) segment: RunReport,
     combined: RunReport,
 }
@@ -195,6 +233,7 @@ impl RunArena {
             // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
             rs_finished: Vec::new(),
             heap: EventQueue::new(),
+            faults: CompiledFaults::default(),
             segment: RunReport::default(),
             combined: RunReport::default(),
         }
@@ -237,9 +276,10 @@ pub(crate) struct Scratch<'a> {
 }
 
 impl RunArena {
-    /// Splits the arena into the state-machine scratch buffers and the
-    /// event heap (only the event-heap engine uses the latter).
-    pub(crate) fn split(&mut self) -> (Scratch<'_>, &mut EventQueue<Ev>) {
+    /// Splits the arena into the state-machine scratch buffers, the event
+    /// heap and the fault stream (only the event-heap engine uses the last
+    /// two).
+    pub(crate) fn split(&mut self) -> (Scratch<'_>, &mut EventQueue<Ev>, &mut CompiledFaults) {
         (
             Scratch {
                 frames: &mut self.frames,
@@ -247,6 +287,7 @@ impl RunArena {
                 rs_finished: &mut self.rs_finished,
             },
             &mut self.heap,
+            &mut self.faults,
         )
     }
 }
@@ -759,6 +800,10 @@ impl<'a, F: FaultView> PipeState<'a, F> {
                     s.mark_truncated();
                     return StepOutcome::Done;
                 }
+                // The fault frontier: until the next pulse fires, the core
+                // queries ticks k (miss), k + 1 (its delay) and, because
+                // delays clamp to a quarter period, at most k + 1 (alloc).
+                s.faults.advance(k + 1);
                 let missed = s.fault_missed(k);
                 let delayed = s.fault_delayed(k);
                 s.on_tick(k, t, missed, delayed, true);

@@ -17,11 +17,12 @@
 //!    [`dvs_sim::EventQueue`] assigns them, and due events are released in
 //!    `(time, seq)` order — the identical tie-break rule.
 //!
-//! It also reads faults straight from the materialized [`FaultSchedule`]
-//! (ordered-map probes), cross-checking the event-heap core's compiled
-//! fault tables from a second, independent path.
+//! It also reads faults from the plan materialized over the whole horizon
+//! into a [`FaultSchedule`] (ordered-map probes), cross-checking the
+//! event-heap core's lazily drawn fault stream from a second, independent
+//! path.
 
-use dvs_faults::FaultSchedule;
+use dvs_faults::{FaultPlan, FaultSchedule};
 use dvs_metrics::RunReport;
 use dvs_sim::{SimDuration, SimTime};
 use dvs_workload::FrameTrace;
@@ -104,11 +105,15 @@ pub(crate) fn execute(
     cfg: &PipelineConfig,
     trace: &FrameTrace,
     pacer: &mut dyn FramePacer,
-    schedule: FaultSchedule,
+    plan: Option<&FaultPlan>,
     arena: &mut RunArena,
     out: &mut RunReport,
 ) -> CoreStats {
-    let (scratch, _heap) = arena.split();
+    let schedule = match plan {
+        Some(plan) => plan.materialize(&cfg.fault_horizon(trace.len())),
+        None => FaultSchedule::default(),
+    };
+    let (scratch, _heap, _) = arena.split();
     let mut st = PipeState::new(cfg, trace, pacer, schedule, scratch, out);
     let mut dispatch = PollingDispatcher::new();
     dispatch.schedule(st.first_pulse_at(), Ev::Tick(0));

@@ -1,10 +1,10 @@
 //! The discrete-event rendering-pipeline simulator.
 //!
 //! The pipeline semantics live in [`crate::core`]; this module is the public
-//! entry point that validates inputs, materializes fault plans, and hands the
-//! run to the selected execution engine ([`SimCore`]).
+//! entry point that validates inputs and hands the run, with its optional
+//! fault plan, to the selected execution engine ([`SimCore`]).
 
-use dvs_faults::{FaultPlan, FaultSchedule, Horizon};
+use dvs_faults::FaultPlan;
 use dvs_metrics::RunReport;
 use dvs_sim::DvsError;
 use dvs_workload::FrameTrace;
@@ -113,11 +113,14 @@ impl<'c> Simulator<'c> {
         out: &mut RunReport,
     ) -> Result<CoreStats, DvsError> {
         self.validate(trace)?;
-        Ok(self.dispatch(trace, pacer, FaultSchedule::default(), arena, out))
+        Ok(self.dispatch(trace, pacer, None, arena, out))
     }
 
-    /// Pooled variant of [`Simulator::run_faulted`]: materializes the plan
-    /// over this run's horizon, then runs into the caller's arena and report.
+    /// Pooled variant of [`Simulator::run_faulted`]: resolves the plan over
+    /// this run's horizon, then runs into the caller's arena and report. The
+    /// event-heap engine streams the plan into the arena's pooled fault
+    /// tables, drawing per-tick processes only as far as the run reaches;
+    /// the reference engine materializes the full [`dvs_faults::FaultSchedule`].
     pub fn try_run_faulted_into(
         &self,
         trace: &FrameTrace,
@@ -127,20 +130,14 @@ impl<'c> Simulator<'c> {
         out: &mut RunReport,
     ) -> Result<CoreStats, DvsError> {
         self.validate(trace)?;
-        let horizon = Horizon::new(
-            trace.len() as u64,
-            self.cfg.tick_cap(trace.len()),
-            self.cfg.rate().period(),
-        );
-        let schedule = plan.materialize(&horizon);
-        Ok(self.dispatch(trace, pacer, schedule, arena, out))
+        Ok(self.dispatch(trace, pacer, Some(plan), arena, out))
     }
 
     /// Runs the trace under an injected [`FaultPlan`].
     ///
-    /// The plan is materialized over this run's exact horizon (trace length ×
-    /// tick cap) before the event loop starts, so the fault stream is a pure
-    /// function of `(plan, config, trace)` — identical inputs replay
+    /// The plan resolves over this run's exact horizon (trace length × tick
+    /// cap), and its per-tick draws are prefix-stable, so the fault stream is
+    /// a pure function of `(plan, config, trace)` — identical inputs replay
     /// byte-identically, including every degradation transition.
     pub fn run_faulted(
         &self,
@@ -168,16 +165,16 @@ impl<'c> Simulator<'c> {
         &self,
         trace: &FrameTrace,
         pacer: &mut dyn FramePacer,
-        schedule: FaultSchedule,
+        plan: Option<&FaultPlan>,
         arena: &mut RunArena,
         out: &mut RunReport,
     ) -> CoreStats {
         match self.core {
             SimCore::EventHeap => {
-                core::event_heap::execute(self.cfg, trace, pacer, &schedule, arena, out)
+                core::event_heap::execute(self.cfg, trace, pacer, plan, arena, out)
             }
             SimCore::Reference => {
-                core::reference::execute(self.cfg, trace, pacer, schedule, arena, out)
+                core::reference::execute(self.cfg, trace, pacer, plan, arena, out)
             }
         }
     }

@@ -310,6 +310,7 @@ impl<'a> TraceGenerator<'a> {
         let p_long = (c.long_rate_per_sec * period_ms / 1e3).min(0.9);
 
         let mut trace = FrameTrace::new(spec.name.clone(), spec.rate_hz).with_backend(spec.backend);
+        trace.frames.reserve_exact(spec.frames);
         let mut in_burst = false;
         for _ in 0..spec.frames {
             let is_long =

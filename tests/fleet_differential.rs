@@ -14,9 +14,10 @@
 
 use dvs_bench::{run_fleet_resilient, run_fleet_shard, FleetEngine, ResilienceConfig};
 use dvs_core::{DvsyncConfig, DvsyncPacer};
-use dvs_faults::{named_profile, FaultPlan};
-use dvs_metrics::FleetSketch;
+use dvs_faults::{named_profile, FaultPlan, StochasticFault, StochasticKind};
+use dvs_metrics::{FleetSketch, RunReport};
 use dvs_pipeline::{run_batch, BatchLane, PipelineConfig, RunArena, SimCore, Simulator};
+use dvs_sim::SimDuration;
 use dvs_workload::{CostProfile, FleetSpec, FrameTrace, ScenarioSpec};
 
 const RATE_HZ: u32 = 60;
@@ -105,6 +106,45 @@ fn single_lane_batch_matches_both_cores() {
             assert_eq!(batched, solo, "faulted={faulted}: batch diverged from {core:?} core");
         }
     }
+}
+
+/// An allocation failure at every tick (p = 1.0) wedges the render stage
+/// until the safety tick cap, so the lazy fault stream is drawn all the way
+/// to its horizon. The truncated reports must still agree byte for byte:
+/// event heap vs reference core, batched lanes vs per-device runs, and a
+/// warm pooled arena vs a fresh one.
+#[test]
+fn wedged_alloc_runs_truncate_identically_across_cores_and_engines() {
+    let cfg = PipelineConfig::new(RATE_HZ, BUFFERS);
+    let plan = FaultPlan::new("wedged").with_stochastic(StochasticFault {
+        kind: StochasticKind::AllocFail,
+        probability: 1.0,
+        magnitude: SimDuration::ZERO,
+    });
+    let mut lanes: Vec<BatchLane<DvsyncPacer>> =
+        (0..3).map(|i| BatchLane::new(lane_trace(3, i), Some(plan.clone()), pacer())).collect();
+    run_batch(&cfg, &mut lanes).expect("batch runs");
+    // One arena across lanes, longest first: each run reuses fault tables
+    // a longer wedged stream grew, and a clean run comes last.
+    let mut warm = RunArena::new();
+    let sim = Simulator::new(&cfg);
+    for (i, lane) in lanes.iter().enumerate().rev() {
+        assert!(lane.out.truncated, "lane {i}: a wedged run must hit the tick cap");
+        let batched = serde_json::to_string(&lane.out).expect("reports serialize");
+        for core in [SimCore::EventHeap, SimCore::Reference] {
+            let solo = solo_json(&cfg, &lane.trace, &lane.plan, core);
+            assert_eq!(batched, solo, "lane {i}: batch diverged from the {core:?} core");
+        }
+        let mut out = RunReport::default();
+        sim.try_run_faulted_into(&lane.trace, &mut pacer(), &plan, &mut warm, &mut out)
+            .expect("valid trace");
+        let pooled = serde_json::to_string(&out).expect("reports serialize");
+        assert_eq!(batched, pooled, "lane {i}: a warm arena changed the bytes");
+    }
+    let mut out = RunReport::default();
+    sim.try_run_into(&lanes[0].trace, &mut pacer(), &mut warm, &mut out).expect("valid trace");
+    let clean = solo_json(&cfg, &lanes[0].trace, &None, SimCore::EventHeap);
+    assert_eq!(serde_json::to_string(&out).expect("reports serialize"), clean, "tables leaked");
 }
 
 // ---------------------------------------------------------------------------
