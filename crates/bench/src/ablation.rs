@@ -16,13 +16,14 @@
 //! * [`input_policy_study`] — the end-to-end case for IPL: on-screen input
 //!   error under VSync, naive D-VSync, and D-VSync + IPL.
 
+use crate::calibration::calibrated;
 use dvs_apps::{InputLagReport, InteractiveStudy};
 use dvs_core::{
     Dtv, DvsyncConfig, DvsyncPacer, IplPredictor, LinearFit, MarkovPredictor, PolyFit2,
     PredictionQuality, VelocityExtrapolation,
 };
 use dvs_input::fling;
-use dvs_pipeline::{calibrate_spec, run_segmented, PipelineConfig, Simulator, VsyncPacer};
+use dvs_pipeline::{run_segmented, PipelineConfig, Simulator, VsyncPacer};
 use dvs_sim::{SimDuration, SimTime};
 use dvs_workload::{CostProfile, FrameCost, FrameTrace, ScenarioSpec};
 use serde::{Deserialize, Serialize};
@@ -45,7 +46,7 @@ pub struct LimitSweepRow {
 pub fn prerender_limit_sweep() -> Vec<LimitSweepRow> {
     let spec = ScenarioSpec::new("limit sweep", 60, 1200, CostProfile::scattered(2.0))
         .with_paper_fdps(2.5);
-    let fitted = calibrate_spec(&spec, 3).spec;
+    let fitted = calibrated(&spec, 3).spec;
 
     (3usize..=8)
         .map(|buffers| {
@@ -183,7 +184,7 @@ pub struct SegmentationRow {
 pub fn segmentation_sensitivity() -> Vec<SegmentationRow> {
     let base =
         ScenarioSpec::new("seg sense", 60, 1200, CostProfile::scattered(2.0)).with_paper_fdps(2.5);
-    let fitted = calibrate_spec(&base, 3).spec;
+    let fitted = calibrated(&base, 3).spec;
     [30usize, 60, 120, 300, 1200]
         .into_iter()
         .map(|seg| {
@@ -392,7 +393,7 @@ pub struct BufferingRow {
 pub fn buffering_history() -> Vec<BufferingRow> {
     let spec =
         ScenarioSpec::new("history", 60, 1800, CostProfile::scattered(1.5)).with_paper_fdps(2.0);
-    let fitted = calibrate_spec(&spec, 3).spec;
+    let fitted = calibrated(&spec, 3).spec;
 
     let mut rows = Vec::new();
     for (label, buffers) in [("VSync double buffering", 2usize), ("VSync triple buffering", 3)] {
@@ -444,7 +445,7 @@ pub struct OffsetRow {
 pub fn signal_offset_study() -> Vec<OffsetRow> {
     let spec = ScenarioSpec::new("offset study", 60, 1200, CostProfile::scattered(2.0))
         .with_paper_fdps(2.0);
-    let fitted = calibrate_spec(&spec, 3).spec;
+    let fitted = calibrated(&spec, 3).spec;
 
     let configs: Vec<(String, PipelineConfig, SimDuration)> = vec![
         ("immediate hand-off".into(), PipelineConfig::new(60, 3), SimDuration::ZERO),
@@ -516,7 +517,7 @@ pub struct AdaptiveRow {
 pub fn adaptive_limit_study() -> Vec<AdaptiveRow> {
     let spec = ScenarioSpec::new("adaptive study", 60, 3600, CostProfile::scattered(1.5))
         .with_paper_fdps(2.0);
-    let fitted = calibrate_spec(&spec, 3).spec;
+    let fitted = calibrated(&spec, 3).spec;
 
     let mut rows = Vec::new();
     for buffers in [4usize, 7] {

@@ -2,7 +2,7 @@
 //! D-VSync paper's evaluation from the simulator.
 //!
 //! ```text
-//! repro --all               # everything (takes a minute or two)
+//! repro --all               # everything (about half a second on 2 cores)
 //! repro --all --jobs 4      # same results, four sweep workers
 //! repro --fig 11            # one figure
 //! repro --table 2           # one table
@@ -371,7 +371,7 @@ fn usage(jobs: &[Job]) -> String {
          \x20      --jobs N   sweep worker count (default: available parallelism;\n\
          \x20                 1 = sequential reference path; output identical for all N)\n\n\
          exit codes: 0 clean; 1 hard error; 2 completed with quarantined cells\n\n\
-         artefacts:\n",
+         artefacts (`repro --<key>` renders one; bare `compose` is the subcommand):\n",
     );
     for j in jobs {
         out.push_str(&format!("  {:<8} {}\n", j.key, j.describe));
@@ -504,11 +504,7 @@ fn run_custom(path: &str) -> DvsResult<String> {
     let json = read_text(Path::new(path))?;
     let spec: dvs_workload::ScenarioSpec = serde_json::from_str(&json)
         .map_err(|e| DvsError::InvalidConfig(format!("parse {path}: {e}")))?;
-    let fitted = if spec.paper_baseline_fdps > 0.0 {
-        dvs_pipeline::calibrate_spec(&spec, 3).spec
-    } else {
-        spec
-    };
+    let fitted = if spec.paper_baseline_fdps > 0.0 { calibrated(&spec, 3).spec } else { spec };
     let result = suite::run_suite(
         &format!("custom scenario: {}", fitted.name),
         std::slice::from_ref(&fitted),
@@ -844,7 +840,9 @@ fn main() -> ExitCode {
                 };
             }
             "sweep" => return exit_tristate(run_sweep(&args)),
-            "compose" => return exit_tristate(run_compose(&args)),
+            // Only the bare word is the subcommand: `--compose` selects the
+            // artefact of that name, so every artefact can render alone.
+            "compose" if args[i] == "compose" => return exit_tristate(run_compose(&args)),
             "fleet" => return exit_tristate(run_fleet(&args)),
             // `repro trace` alone stays the Chrome trace-event artefact; a
             // subcommand word selects the binary trace tooling.

@@ -5,9 +5,9 @@
 //! GLES) 3.5 % / 7.8 %; Mate 60 Pro (120 Hz, GLES) 6.3 % / 20.8 %; Mate 60
 //! Pro (120 Hz, Vulkan) 7.0 % / 27.5 %.
 
+use crate::calibration::calibrated;
 use crate::suite::run_vsync;
 use crate::sweep::SweepEngine;
-use dvs_pipeline::calibrate_spec;
 use dvs_workload::{scenarios, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +26,7 @@ pub struct PlatformFd {
 
 fn measure(platform: &str, specs: &[ScenarioSpec], baseline_buffers: usize) -> PlatformFd {
     let fds: Vec<f64> = SweepEngine::with_default_jobs().run(specs.len(), |i| {
-        let fitted = calibrate_spec(&specs[i], baseline_buffers).spec;
+        let fitted = calibrated(&specs[i], baseline_buffers).spec;
         run_vsync(&fitted, baseline_buffers).fd_fraction() * 100.0
     });
     PlatformFd {

@@ -5,9 +5,9 @@
 //! an extra period (stuffing) — unnecessary latency the VSync architecture
 //! bakes in.
 
+use crate::calibration::calibrated;
 use crate::suite::run_vsync;
 use dvs_metrics::FrameDistribution;
-use dvs_pipeline::calibrate_spec;
 use dvs_workload::scenarios;
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +25,7 @@ pub fn run() -> Vec<AppDistribution> {
     scenarios::android_app_suite()
         .iter()
         .map(|raw| {
-            let fitted = calibrate_spec(raw, 3).spec;
+            let fitted = calibrated(raw, 3).spec;
             let report = run_vsync(&fitted, 3);
             AppDistribution { name: fitted.name.clone(), distribution: report.distribution() }
         })

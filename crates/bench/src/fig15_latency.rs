@@ -5,8 +5,8 @@
 //! at the two-period pipeline floor for each refresh rate; the VSync numbers
 //! carry the extra periods of buffer stuffing after drops.
 
+use crate::calibration::calibrated;
 use crate::suite::{run_dvsync, run_vsync};
-use dvs_pipeline::calibrate_spec;
 use dvs_workload::{scenarios, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 
@@ -45,7 +45,7 @@ fn measure(
     let mut v_frames = 0usize;
     let mut d_frames = 0usize;
     for raw in specs {
-        let fitted = calibrate_spec(raw, baseline_buffers).spec;
+        let fitted = calibrated(raw, baseline_buffers).spec;
         let v = run_vsync(&fitted, baseline_buffers);
         let d = run_dvsync(&fitted, dvsync_buffers);
         v_total += v.mean_latency_ms() * v.records.len() as f64;

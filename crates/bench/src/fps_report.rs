@@ -1,9 +1,9 @@
 //! The §3.2 FPS claim: heavy OS cases "can only reach 95–105 FPS on the
 //! 120 Hz screen" under VSync; D-VSync restores them to (near) full rate.
 
+use crate::calibration::calibrated;
 use crate::suite::{run_dvsync, run_vsync};
 use dvs_metrics::{average_fps, min_window_fps};
-use dvs_pipeline::calibrate_spec;
 use dvs_sim::SimDuration;
 use dvs_workload::scenarios;
 use serde::{Deserialize, Serialize};
@@ -32,7 +32,7 @@ pub fn run() -> Vec<FpsRow> {
                 .contains(&s.abbrev.as_str())
         })
         .map(|raw| {
-            let fitted = calibrate_spec(raw, 3).spec;
+            let fitted = calibrated(raw, 3).spec;
             let v = run_vsync(&fitted, 3);
             let d = run_dvsync(&fitted, 4);
             FpsRow {

@@ -11,6 +11,7 @@
 
 pub mod ablation;
 pub mod alloc_track;
+pub mod calibration;
 pub mod checkpoint;
 pub mod compose;
 pub mod costs;
@@ -46,6 +47,7 @@ pub mod table2_stutters;
 pub mod tracebench;
 pub mod tracetool;
 
+pub use calibration::{calibrated, calibrated_pooled, calibration_stats, CalibrationStats};
 pub use checkpoint::{CellSlot, Checkpoint, QuarantinedSlot, CHECKPOINT_VERSION};
 pub use fleet::{
     fleet_fingerprint, fleet_trace_path, run_fleet_resilient, run_fleet_resilient_with,

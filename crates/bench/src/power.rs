@@ -6,9 +6,9 @@
 //! per frame). The increments come from (a) rendering the frames VSync would
 //! have dropped and (b) the per-frame module bookkeeping.
 
+use crate::calibration::calibrated;
 use crate::suite::{run_dvsync, run_vsync};
 use dvs_metrics::{InstructionModel, PowerModel};
-use dvs_pipeline::calibrate_spec;
 use dvs_workload::{CostProfile, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +32,7 @@ pub fn run() -> PowerResult {
     // 30-minute power-tester methodology (scaled down, same accounting).
     let spec = ScenarioSpec::new("power animation", 60, 3600, CostProfile::scattered(1.2))
         .with_paper_fdps(1.5);
-    let fitted = calibrate_spec(&spec, 3).spec;
+    let fitted = calibrated(&spec, 3).spec;
 
     let vsync = run_vsync(&fitted, 3);
     let dvsync = run_dvsync(&fitted, 4);

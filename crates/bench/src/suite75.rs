@@ -4,9 +4,9 @@
 //! 20 of 75 (GLES) and 29 of 75 (Vulkan). The remaining cases hold full
 //! frame rate — the industrial acceptance criterion.
 
+use crate::calibration::calibrated;
 use crate::suite::run_vsync;
 use crate::sweep::SweepEngine;
-use dvs_pipeline::calibrate_spec;
 use dvs_workload::{scenarios, Backend, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 
@@ -51,7 +51,7 @@ fn census(platform: &str, dropping: &[ScenarioSpec], rate_hz: u32, backend: Back
     // One sweep cell per case: calibrate + baseline run, folded in case
     // order afterwards so the census is independent of worker scheduling.
     let per_case: Vec<(bool, f64)> = SweepEngine::with_default_jobs().run(suite.len(), |i| {
-        let fitted = calibrate_spec(&suite[i], 3).spec;
+        let fitted = calibrated(&suite[i], 3).spec;
         let report = run_vsync(&fitted, 3);
         (!report.janks.is_empty(), report.fdps())
     });

@@ -45,12 +45,11 @@ use std::thread;
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_metrics::{RunAggregate, RunReport};
-use dvs_pipeline::{
-    calibrate_spec_pooled, run_segments_into, FramePacer, RunArena, SimCore, VsyncPacer,
-};
+use dvs_pipeline::{run_segments_into, FramePacer, RunArena, SimCore, VsyncPacer};
 use dvs_workload::{FrameTrace, ScenarioSpec, TraceCache};
 use serde::{Deserialize, Serialize};
 
+use crate::calibration::calibrated_pooled;
 use crate::suite::{SuiteResult, SuiteRow};
 
 /// Which pacing policy a cell measures.
@@ -341,7 +340,9 @@ pub struct GridCache {
 pub struct SweepStats {
     /// Calibration/trace lookups served from the shared cache.
     pub cache_hits: u64,
-    /// Lookups that calibrated + generated (exactly one per scenario).
+    /// Lookups that calibrated + generated (exactly one per scenario). The
+    /// fit comes from the process-wide calibration memo when an earlier
+    /// cache or artefact already made it.
     pub cache_misses: u64,
     /// Of the misses, how many skipped calibration by decoding a recorded
     /// binary trace (`repro trace record --fitted`).
@@ -429,7 +430,7 @@ impl GridCache {
                     baseline: OnceLock::new(),
                 });
             }
-            let fitted = calibrate_spec_pooled(spec, self.baseline_buffers, arena).spec;
+            let fitted = calibrated_pooled(spec, self.baseline_buffers, arena).spec;
             let trace = fitted.generate();
             let segments = fitted.segments_of(&trace);
             Arc::new(FittedScenario {

@@ -27,6 +27,7 @@ use dvs_workload::ScenarioSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc_track;
+use crate::calibration;
 use crate::perf::{Bench, Gate, Kind};
 use crate::resilient::{run_suite_resilient, ResilienceConfig};
 use crate::sweep::{run_suite_cached, GridCache, SweepMode, SweepStats};
@@ -124,6 +125,9 @@ pub fn run_ladder(
 
     // Classic arm: every call recalibrates, every cell regenerates and
     // materialises a fresh full-record report (the pre-cache behaviour).
+    // Every arm empties the process-wide calibration memo first, so none
+    // reuses an earlier arm's fits.
+    calibration::clear();
     let alloc_start = alloc_track::snapshot();
     let start = Instant::now();
     let classic_results: Vec<String> = ladder
@@ -148,6 +152,7 @@ pub fn run_ladder(
 
     // Optimized arm: one cache shared by every call, pooled arenas,
     // streaming aggregates.
+    calibration::clear();
     let alloc_start = alloc_track::snapshot();
     let start = Instant::now();
     let cache = GridCache::for_suite(specs, BASELINE_BUFFERS);
@@ -177,6 +182,7 @@ pub fn run_ladder(
     // layer with no faults injected and checkpointing disabled (cadence 0) —
     // isolating the cost of per-cell catch_unwind and completion publishing.
     // Its own fresh cache keeps the optimized arm's cache counters clean.
+    calibration::clear();
     let alloc_start = alloc_track::snapshot();
     let start = Instant::now();
     let resilient_cache = GridCache::for_suite(specs, BASELINE_BUFFERS);

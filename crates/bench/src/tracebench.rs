@@ -108,26 +108,38 @@ fn measure_decode(
 /// size measurement always covers the whole corpus.
 pub fn run(quick: bool) -> TraceBench {
     let (traces, json, binary) = encoded_corpus();
+    measure_corpus("suite75", quick, if quick { 2 } else { 10 }, &traces, &json, &binary)
+}
+
+/// Measures sizes and times `reps` decode passes per format over one
+/// pre-encoded corpus.
+fn measure_corpus(
+    suite: &str,
+    quick: bool,
+    reps: usize,
+    traces: &[FrameTrace],
+    json: &[String],
+    binary: &[Vec<u8>],
+) -> TraceBench {
     let frames: usize = traces.iter().map(|t| t.len()).sum();
     let json_bytes: u64 = json.iter().map(|s| s.len() as u64).sum();
     let binary_bytes: u64 = binary.iter().map(|b| b.len() as u64).sum();
 
-    let reps = if quick { 2 } else { 10 };
     let binary_decode = measure_decode("binary", reps, frames, binary_bytes, || {
-        for b in &binary {
+        for b in binary {
             let t = FrameTrace::from_binary(b).expect("benchmark payloads are valid");
             assert!(!t.is_empty());
         }
     });
     let json_decode = measure_decode("json", reps, frames, json_bytes, || {
-        for s in &json {
+        for s in json {
             let t = FrameTrace::from_json(s).expect("benchmark payloads are valid");
             assert!(!t.is_empty());
         }
     });
 
     TraceBench {
-        suite: "suite75".to_string(),
+        suite: suite.to_string(),
         quick,
         scenarios: traces.len(),
         frames,
@@ -202,6 +214,14 @@ mod tests {
     use super::*;
     use dvs_workload::{CostProfile, ScenarioSpec};
 
+    /// Decode passes per format on the tiny corpus. One pass takes well
+    /// under a millisecond, less than a scheduler time slice, so a single
+    /// timed pass could be decided by one preemption; the repetitions make
+    /// each format's timed window outlast it, as the big corpus does in
+    /// [`run`].
+    const TINY_REPS: usize = 25;
+
+    /// A three-trace corpus measured through [`run`]'s path.
     fn tiny_bench() -> TraceBench {
         let traces: Vec<FrameTrace> = (0..3)
             .map(|i| {
@@ -210,33 +230,7 @@ mod tests {
             .collect();
         let json: Vec<String> = traces.iter().map(|t| t.to_json().unwrap()).collect();
         let binary: Vec<Vec<u8>> = traces.iter().map(|t| t.to_binary().unwrap()).collect();
-        let frames: usize = traces.iter().map(|t| t.len()).sum();
-        let json_bytes: u64 = json.iter().map(|s| s.len() as u64).sum();
-        let binary_bytes: u64 = binary.iter().map(|b| b.len() as u64).sum();
-        let binary_decode = measure_decode("binary", 1, frames, binary_bytes, || {
-            for b in &binary {
-                FrameTrace::from_binary(b).unwrap();
-            }
-        });
-        let json_decode = measure_decode("json", 1, frames, json_bytes, || {
-            for s in &json {
-                FrameTrace::from_json(s).unwrap();
-            }
-        });
-        TraceBench {
-            suite: "tiny".into(),
-            quick: true,
-            scenarios: traces.len(),
-            frames,
-            json_bytes,
-            binary_bytes,
-            json_bytes_per_frame: json_bytes as f64 / frames as f64,
-            binary_bytes_per_frame: binary_bytes as f64 / frames as f64,
-            size_ratio: json_bytes as f64 / binary_bytes as f64,
-            decode_speedup: binary_decode.frames_per_sec / json_decode.frames_per_sec,
-            json_decode,
-            binary_decode,
-        }
+        measure_corpus("tiny", true, TINY_REPS, &traces, &json, &binary)
     }
 
     #[test]

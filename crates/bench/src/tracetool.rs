@@ -20,7 +20,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use dvs_pipeline::{calibrate_spec_pooled, RunArena};
+use dvs_pipeline::RunArena;
 use dvs_sim::{DvsError, DvsResult, SimDuration};
 use dvs_workload::codec::BINARY_EXT;
 use dvs_workload::{
@@ -29,6 +29,7 @@ use dvs_workload::{
 };
 use serde::Deserialize;
 
+use crate::calibration::calibrated_pooled;
 use crate::fleet::fleet_trace_path;
 
 /// Ensures `dir` exists, mapping the failure to a path-carrying error.
@@ -56,7 +57,7 @@ pub fn record_suite(
     let mut frames = 0u64;
     for spec in specs {
         let trace = if fitted {
-            calibrate_spec_pooled(spec, baseline_buffers, &mut arena).spec.generate()
+            calibrated_pooled(spec, baseline_buffers, &mut arena).spec.generate()
         } else {
             spec.generate()
         };
