@@ -36,14 +36,14 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::fingerprint_of;
 use crate::resilient::{execute_cells, restore_progress, ResilienceConfig};
 
-/// How many homogeneous lanes the batched engine steps in lockstep.
+/// How many homogeneous lanes the batched engine keeps resident per batch.
 pub const BATCH_WIDTH: usize = 64;
 
 /// Which engine a fleet run drives its devices through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetEngine {
-    /// The SoA batch kernel: devices bucketed by (rate, buffers) and run
-    /// [`BATCH_WIDTH`] at a time in lockstep. The production path.
+    /// The batch entry point: devices bucketed by (rate, buffers) and run
+    /// [`BATCH_WIDTH`] at a time on pooled lanes. The production path.
     Batched,
     /// One [`Simulator`] run per device. The differential oracle.
     PerDevice,

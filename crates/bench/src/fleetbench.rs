@@ -1,4 +1,4 @@
-//! Fleet throughput benchmark: the SoA batch kernel vs the per-device
+//! Fleet throughput benchmark: the batched engine vs the per-device
 //! oracle, floor-gated at one million simulated devices per minute.
 //!
 //! Both arms run the *same* seeded population through
@@ -59,7 +59,7 @@ pub struct FleetBench {
     pub shards: usize,
     /// Worker threads used.
     pub jobs: usize,
-    /// The production arm: the SoA batch kernel.
+    /// The production arm: the batched engine (`run_batch` lanes).
     pub batched: FleetThroughput,
     /// The oracle arm: one `Simulator` run per device.
     pub per_device: FleetThroughput,

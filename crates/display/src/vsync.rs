@@ -161,7 +161,12 @@ impl VsyncTimeline {
         }
     }
 
+    #[inline]
     fn segment_for(&self, tick: u64) -> &Segment {
+        // Runs query ticks at or past the last rate switch almost always.
+        if let Some(last) = self.segments.last().filter(|s| tick >= s.first_tick) {
+            return last;
+        }
         let idx = match self.segments.binary_search_by(|s| s.first_tick.cmp(&tick)) {
             Ok(i) => i,
             Err(i) => i - 1,
@@ -170,12 +175,14 @@ impl VsyncTimeline {
     }
 
     /// The jitter-free (but drift-applied) time of tick `tick`.
+    #[inline]
     pub fn ideal_tick_time(&self, tick: u64) -> SimTime {
         let s = self.segment_for(tick);
         s.start + s.period * (tick - s.first_tick)
     }
 
     /// The actual time of tick `tick`, with drift and jitter applied.
+    #[inline]
     pub fn tick_time(&self, tick: u64) -> SimTime {
         let ideal = self.ideal_tick_time(tick);
         if self.jitter.is_zero() {
@@ -210,9 +217,15 @@ impl VsyncTimeline {
 
     /// The first tick whose (jittered) time is strictly after `t`.
     pub fn next_tick_after(&self, t: SimTime) -> (u64, SimTime) {
-        // Estimate from ideal arithmetic, then fix up across the jitter band.
         // dvs-lint: allow(panic, reason = "segments is seeded with one segment at construction and never drained")
         let last = self.segments.last().expect("at least one segment");
+        if t >= last.start && self.jitter.is_zero() {
+            // Past the last rate switch, ticks are exactly periodic: the
+            // answer is one whole period past the last tick at or before t.
+            let n = t.saturating_since(last.start).div_duration(last.period) + 1;
+            return (last.first_tick + n, last.start + last.period * n);
+        }
+        // Estimate from ideal arithmetic, then fix up across the jitter band.
         let mut k = if t < last.start {
             // Scan earlier segments (rare: there are only a handful).
             let s = self.segments.iter().rev().find(|s| s.start <= t).unwrap_or(&self.segments[0]);
@@ -415,5 +428,90 @@ mod tests {
     fn phase_offsets_tick_zero() {
         let tl = VsyncTimeline::builder(RefreshRate::HZ_60).phase(SimTime::from_millis(3)).build();
         assert_eq!(tl.tick_time(0), SimTime::from_millis(3));
+    }
+
+    mod closed_form {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The estimate-and-walk every query took before the jitter-free
+        /// closed form: the oracle the fast path must match exactly.
+        fn walk_next_tick_after(tl: &VsyncTimeline, t: SimTime) -> (u64, SimTime) {
+            let s = tl.segments.iter().rev().find(|s| s.start <= t).unwrap_or(&tl.segments[0]);
+            let mut k = s.first_tick + t.saturating_since(s.start).div_duration(s.period);
+            while k > 0 && tl.tick_time(k - 1) > t {
+                k -= 1;
+            }
+            while tl.tick_time(k) <= t {
+                k += 1;
+            }
+            (k, tl.tick_time(k))
+        }
+
+        /// A jitter-free timeline from plain integers: base rate, drift,
+        /// phase and `(ticks after the previous switch, rate)` switches.
+        fn timeline(hz: u32, ppm: i64, phase_ns: u64, switches: &[(u64, u32)]) -> VsyncTimeline {
+            let mut tl = VsyncTimeline::builder(RefreshRate::from_hz(hz))
+                .drift_ppm(ppm as f64)
+                .phase(SimTime::from_nanos(phase_ns))
+                .build();
+            let mut tick = 0;
+            for &(gap, hz) in switches {
+                tick += gap;
+                tl.switch_rate_at_tick(tick, RefreshRate::from_hz(hz));
+            }
+            tl
+        }
+
+        fn check(tl: &VsyncTimeline, t: SimTime) -> Result<(), TestCaseError> {
+            let (k, at) = tl.next_tick_after(t);
+            prop_assert_eq!((k, at), walk_next_tick_after(tl, t), "probe {}", t);
+            prop_assert_eq!(at, tl.tick_time(k));
+            prop_assert!(t < at, "tick {} at {} is not after {}", k, at, t);
+            if k > 0 {
+                prop_assert!(tl.tick_time(k - 1) <= t, "tick {} is after {}", k - 1, t);
+            }
+            Ok(())
+        }
+
+        /// Probes `t - 1`, `t` and `t + 1`.
+        fn check_around(tl: &VsyncTimeline, t: SimTime) -> Result<(), TestCaseError> {
+            let ns = t.as_nanos();
+            for probe in [ns.saturating_sub(1), ns, ns + 1] {
+                check(tl, SimTime::from_nanos(probe))?;
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn next_tick_after_matches_the_walk(
+                hz in 30u32..145,
+                ppm in -500i64..500,
+                phase_ns in 0u64..40_000_000,
+                switches in prop::collection::vec((1u64..200, 30u32..145), 0..5),
+                ticks in prop::collection::vec(0u64..1_200, 1..24),
+                offsets in prop::collection::vec(0u64..2_000_000_000, 1..8),
+            ) {
+                let tl = timeline(hz, ppm, phase_ns, &switches);
+                check_around(&tl, SimTime::ZERO)?;
+                for seg in &tl.segments {
+                    check_around(&tl, tl.tick_time(seg.first_tick))?;
+                    check_around(&tl, tl.tick_time(seg.first_tick + 1))?;
+                    if seg.first_tick > 0 {
+                        check_around(&tl, tl.tick_time(seg.first_tick - 1))?;
+                    }
+                }
+                for k in ticks {
+                    check_around(&tl, tl.tick_time(k))?;
+                    check(&tl, tl.tick_time(k) + tl.period_at(k) / 2)?;
+                }
+                for ns in offsets {
+                    check(&tl, SimTime::from_nanos(ns))?;
+                }
+            }
+        }
     }
 }

@@ -1,36 +1,34 @@
-//! The struct-of-arrays batch kernel: K homogeneous runs in lockstep.
+//! The batch entry point: K homogeneous runs with pooled lane state.
 //!
 //! Fleet-scale sweeps run millions of short, independent device simulations.
 //! Driving each one through [`crate::Simulator`] pays per-run dispatch
 //! overhead — pacer boxing, validation, state-machine setup and teardown —
-//! that is pure fixed cost at this scale. The batch kernel keeps K lane
-//! states resident (state machines, event heaps, pacers — parallel arrays of
-//! lane state, stepped together) and marches one shared *time frontier*
-//! across all of them: each pass lets every live lane drain exactly the
-//! events due in the current window. Pacers are monomorphized (`P:
-//! FramePacer` instead of a boxed trait object per run), and lane arenas are
-//! reused batch after batch, so the steady state stays allocation-free.
+//! that is pure fixed cost at this scale. A batch keeps K lanes resident
+//! (inputs, a monomorphized pacer, a pooled [`RunArena`] and an output
+//! report each), validates them all up front, then runs each lane to
+//! completion in turn through the solo [`super::event_heap`] loop. Lane
+//! arenas are reused batch after batch, so the steady state stays
+//! allocation-free, and one lane's working set stays in cache for its whole
+//! run.
 //!
 //! **Homogeneity contract:** every lane in one batch shares the same
 //! [`PipelineConfig`] (rate, buffer depth, watchdog, render threads) and the
 //! same pacer *type*. Traces, fault plans, and trace lengths may differ per
-//! lane — a lane that finishes early simply drops out of the frontier march.
+//! lane.
 //!
-//! **Byte-identity contract:** each lane owns a private event heap and its
-//! `step` only schedules into that heap, so the per-lane pop sequence is
-//! exactly the solo [`super::event_heap`] sequence no matter how the
-//! frontier slices time. The differential wall
+//! **Byte-identity contract:** each lane runs through exactly the code a
+//! solo [`crate::Simulator`] run takes, on its own arena, so its report is
+//! the solo report by construction. The differential wall
 //! (`tests/fleet_differential.rs`) pins batched reports byte-identical to
 //! per-device [`crate::Simulator`] runs for K ∈ {1, 2, 7, 64}, clean and
 //! faulted.
 
-use dvs_faults::{CompiledFaults, FaultPlan};
+use dvs_faults::FaultPlan;
 use dvs_metrics::RunReport;
-use dvs_sim::{DvsError, SimTime};
+use dvs_sim::DvsError;
 use dvs_workload::FrameTrace;
 
-use super::event_heap::heap_capacity;
-use super::{CoreStats, Ev, PipeState, RunArena, StepOutcome};
+use super::{event_heap, CoreStats, RunArena};
 use crate::config::PipelineConfig;
 use crate::pacer::FramePacer;
 
@@ -67,15 +65,8 @@ impl<P: FramePacer> BatchLane<P> {
     }
 }
 
-/// One live lane mid-flight: the state machine plus its private heap.
-struct Live<'a> {
-    st: PipeState<'a, &'a mut CompiledFaults>,
-    heap: &'a mut dvs_sim::EventQueue<Ev>,
-    done: bool,
-}
-
-/// Runs every lane to completion in lockstep, writing each lane's report
-/// into its `out` slot. Returns the summed dispatch counters.
+/// Runs every lane to completion, one after another, writing each lane's
+/// report into its `out` slot. Returns the summed dispatch counters.
 ///
 /// Validation matches [`crate::Simulator`]: empty traces and rate
 /// mismatches are rejected up front (before any lane starts), so a failed
@@ -96,65 +87,14 @@ pub fn run_batch<P: FramePacer>(
         }
     }
 
-    // Lane setup mirrors `event_heap::execute` line for line: restream the
-    // pooled fault stream → reset + pre-size the pooled heap → seed Tick(0).
-    // The one live-lane vector is per batch of K runs, not per event.
-    let mut live: Vec<Live<'_>> = Vec::with_capacity(lanes.len());
+    let mut total = CoreStats::default();
     for lane in lanes.iter_mut() {
-        let (scratch, heap, faults) = lane.arena.split();
-        CompiledFaults::restream(faults, lane.plan.as_ref(), &cfg.fault_horizon(lane.trace.len()));
-        heap.reset();
-        heap.reserve(heap_capacity(cfg.render_threads));
-        let st = PipeState::new(cfg, &lane.trace, &mut lane.pacer, faults, scratch, &mut lane.out);
-        heap.schedule(st.first_pulse_at(), Ev::Tick(0));
-        live.push(Live { st, heap, done: false });
+        let BatchLane { trace, plan, pacer, arena, out } = lane;
+        let stats = event_heap::execute(cfg, trace, pacer, plan.as_ref(), arena, out);
+        total.events_processed += stats.events_processed;
+        total.events_scheduled += stats.events_scheduled;
     }
-
-    // The lockstep frontier march. Every pass advances a shared deadline by
-    // one VSync period and lets each live lane drain all events due at or
-    // before it — including events a step just scheduled inside the window,
-    // so the per-lane pop order is exactly the solo order.
-    let stride = cfg.rate().period();
-    let mut frontier = SimTime::ZERO + stride;
-    let mut processed = 0u64;
-    let mut remaining = live.len();
-    while remaining > 0 {
-        for lane in live.iter_mut() {
-            if lane.done {
-                continue;
-            }
-            loop {
-                match lane.heap.peek_time() {
-                    Some(t) if t <= frontier => {}
-                    Some(_) => break,
-                    None => {
-                        // Heap drained without a Done: the solo loop exits
-                        // here too and finishes the run.
-                        lane.done = true;
-                        remaining -= 1;
-                        break;
-                    }
-                }
-                if let Some((t, ev)) = lane.heap.pop() {
-                    processed += 1;
-                    let heap = &mut *lane.heap;
-                    if lane.st.step(t, ev, &mut |at, e| heap.schedule(at, e)) == StepOutcome::Done {
-                        lane.done = true;
-                        remaining -= 1;
-                        break;
-                    }
-                }
-            }
-        }
-        frontier += stride;
-    }
-
-    let mut scheduled = 0u64;
-    for lane in live {
-        scheduled += lane.heap.total_scheduled();
-        lane.st.finish();
-    }
-    Ok(CoreStats { events_processed: processed, events_scheduled: scheduled, polls: 0 })
+    Ok(total)
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! The event-heap execution engine (the production default).
 //!
-//! Dispatch is a pre-sized indexed binary heap ([`dvs_sim::EventQueue`])
+//! Dispatch is a pre-sized sorted small event list ([`dvs_sim::EventQueue`])
 //! keyed by `(time, insertion seq)`: the loop pops the next due event and
 //! jumps the clock straight to it — no polling quanta, no dead iterations
 //! between VSync pulses. The steady-state loop performs **zero heap
 //! allocations**:
 //!
-//! * the event heap is pre-sized to the worst-case population (one pending
+//! * the event list is pre-sized to the worst-case population (one pending
 //!   tick + one wake + one UI completion + one render completion per
 //!   context, with slack for stale wakes);
 //! * fault lookups go through the arena's pooled [`CompiledFaults`] stream:
@@ -25,10 +25,10 @@ use super::{CoreStats, Ev, PipeState, RunArena, StepOutcome};
 use crate::config::PipelineConfig;
 use crate::pacer::FramePacer;
 
-/// Worst-case concurrent heap population: one pending tick, one wake, one
+/// Worst-case pending-event population: one pending tick, one wake, one
 /// UI completion, one render completion per context — doubled for stale
 /// wakes that remain queued after a better plan superseded them.
-pub(crate) fn heap_capacity(render_threads: usize) -> usize {
+fn heap_capacity(render_threads: usize) -> usize {
     2 * (3 + render_threads)
 }
 

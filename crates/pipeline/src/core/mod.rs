@@ -21,7 +21,7 @@
 //!   that pays per-quantum overhead even when nothing happens between
 //!   VSync pulses.
 //! * [`event_heap`] — the production core. Events sit in a pre-sized
-//!   indexed binary heap ([`dvs_sim::EventQueue`]) and the loop jumps
+//!   sorted small event list ([`dvs_sim::EventQueue`]) and the loop jumps
 //!   straight from one event to the next; the steady state allocates
 //!   nothing.
 //!
@@ -333,6 +333,9 @@ pub(crate) struct SurfaceState<'a, F: FaultView> {
     first_present_tick: Option<u64>,
     last_present_tick: u64,
     pending_wake: Option<SimTime>,
+    /// `(now, timeline.next_tick_after(now))` for the latest event time
+    /// asked about: every handler of one event asks with the same `now`.
+    next_tick_memo: Option<(SimTime, (u64, SimTime))>,
     truncated: bool,
     /// Injected faults resolved for this surface (clean-run views answer
     /// zero). On the single-pipeline path this stream is also the panel's.
@@ -386,6 +389,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
             first_present_tick: None,
             last_present_tick: 0,
             pending_wake: None,
+            next_tick_memo: None,
             truncated: false,
             faults,
             denial_logged: None,
@@ -527,11 +531,25 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         self.pending_wake = None;
     }
 
+    /// The first tick strictly after `now`, looked up once per event time.
+    /// The memo cannot go stale within a run: the caller commits every rate
+    /// switch to `timeline` before the first event fires.
+    fn next_tick(&mut self, now: SimTime, timeline: &VsyncTimeline) -> (u64, SimTime) {
+        match self.next_tick_memo {
+            Some((at, next)) if at == now => next,
+            _ => {
+                let next = timeline.next_tick_after(now);
+                self.next_tick_memo = Some((now, next));
+                next
+            }
+        }
+    }
+
     pub(crate) fn try_start(
         &mut self,
         now: SimTime,
         timeline: &VsyncTimeline,
-        sched: &mut dyn FnMut(SimTime, Ev),
+        sched: &mut impl FnMut(SimTime, Ev),
     ) {
         if self.next_frame >= self.trace.len() || self.ui_busy {
             return;
@@ -543,7 +561,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
             return;
         }
         let free_slots = self.queue.free_len();
-        let (next_idx, next_time) = timeline.next_tick_after(now);
+        let (next_idx, next_time) = self.next_tick(now, timeline);
         let last_idx = next_idx - 1;
         let ctx = PacerCtx {
             now,
@@ -598,7 +616,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         &mut self,
         now: SimTime,
         timeline: &VsyncTimeline,
-        sched: &mut dyn FnMut(SimTime, Ev),
+        sched: &mut impl FnMut(SimTime, Ev),
     ) {
         while self.rs_active < self.cfg.render_threads {
             let Some(&frame) = self.rs_pending.front() else { return };
@@ -606,7 +624,8 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
             // of this refresh interval. Ticks keep firing and re-enter
             // `pump_rs`, so the dispatch is retried — the fault degrades
             // throughput instead of wedging the pipeline.
-            let cur_tick = timeline.next_tick_after(now).0.saturating_sub(1);
+            let (next_idx, _) = self.next_tick(now, timeline);
+            let cur_tick = next_idx.saturating_sub(1);
             if self.faults.deny_alloc(cur_tick) {
                 if self.denial_logged != Some(cur_tick) {
                     self.denial_logged = Some(cur_tick);
@@ -627,10 +646,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
                 None => now,
                 Some(offset) => {
                     // The next VSync-rs signal at or after `now`.
-                    let (last_idx, _) = {
-                        let (n, _) = timeline.next_tick_after(now);
-                        (n - 1, ())
-                    };
+                    let last_idx = next_idx - 1;
                     let last_signal = timeline.tick_time(last_idx) + offset;
                     if last_signal >= now {
                         last_signal
@@ -791,7 +807,7 @@ impl<'a, F: FaultView> PipeState<'a, F> {
         &mut self,
         t: SimTime,
         ev: Ev,
-        sched: &mut dyn FnMut(SimTime, Ev),
+        sched: &mut impl FnMut(SimTime, Ev),
     ) -> StepOutcome {
         let s = &mut self.surface;
         match ev {

@@ -1,17 +1,19 @@
 //! A deterministic future-event list.
 //!
-//! [`EventQueue`] is an indexed binary min-heap keyed by `(time, sequence)`
+//! [`EventQueue`] is a sorted small event list keyed by `(time, sequence)`
 //! where the sequence number records insertion order. Two events scheduled
 //! for the same instant therefore pop in the order they were scheduled,
-//! which keeps simulations bit-for-bit reproducible regardless of heap
-//! internals.
+//! which keeps simulations bit-for-bit reproducible.
 //!
-//! The heap is hand-rolled over a plain `Vec` (explicit index arithmetic,
-//! `sift_up`/`sift_down`) rather than wrapping `std::collections::BinaryHeap`
-//! so the simulator hot path can pre-size it ([`EventQueue::with_capacity`])
-//! and keep the steady-state loop allocation-free: once the backing vector
-//! has grown to the run's working set, `schedule`/`pop` never touch the
-//! allocator again.
+//! The simulator never holds more than a handful of pending events (one
+//! tick, one wake, one UI completion and one render completion per
+//! context), so the list is a plain `Vec` kept sorted *descending*: `pop`
+//! takes the last element and `schedule` shifts a few entries to insert.
+//! At that size a linear scan and a short `memmove` beat a binary heap's
+//! swap-based sifting. The queue can be pre-sized
+//! ([`EventQueue::with_capacity`]) so the steady-state loop stays
+//! allocation-free: once the backing vector has grown to the run's working
+//! set, `schedule`/`pop` never touch the allocator again.
 
 use crate::SimTime;
 
@@ -47,9 +49,9 @@ impl<E> Entry<E> {
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    /// Binary min-heap in the classic implicit-tree layout: children of the
-    /// entry at index `i` live at `2i + 1` and `2i + 2`.
-    heap: Vec<Entry<E>>,
+    /// Pending events sorted descending by `(at, seq)`: the earliest event
+    /// is the last element.
+    list: Vec<Entry<E>>,
     next_seq: u64,
     /// Total events ever scheduled (diagnostics for throughput reporting).
     scheduled: u64,
@@ -59,7 +61,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         // dvs-lint: allow(hot-alloc, reason = "empty Vec::new is allocation-free; hot callers pre-size via with_capacity/reserve")
-        EventQueue { heap: Vec::new(), next_seq: 0, scheduled: 0 }
+        EventQueue { list: Vec::new(), next_seq: 0, scheduled: 0 }
     }
 
     /// Creates an empty queue with room for `capacity` pending events.
@@ -67,55 +69,51 @@ impl<E> EventQueue<E> {
     /// Sizing the queue to a run's expected working set keeps the
     /// steady-state `schedule`/`pop` cycle free of allocator traffic.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue { heap: Vec::with_capacity(capacity), next_seq: 0, scheduled: 0 }
+        EventQueue { list: Vec::with_capacity(capacity), next_seq: 0, scheduled: 0 }
     }
 
     /// Ensures room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.list.reserve(additional);
     }
 
     /// The number of pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.list.capacity()
     }
 
     /// Schedules `payload` to fire at instant `at`.
     ///
     /// Events scheduled for the same instant fire in scheduling order.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
+        let entry = Entry { at, seq: self.next_seq, payload };
         self.next_seq += 1;
         self.scheduled += 1;
-        self.heap.push(Entry { at, seq, payload });
-        self.sift_up(self.heap.len() - 1);
+        // Insert ahead of the first entry that pops before the new one. The
+        // new `seq` is the largest so far, so pending same-instant entries
+        // stay nearer the end and pop first.
+        let at_pos = self.list.iter().position(|x| x.before(&entry)).unwrap_or(self.list.len());
+        self.list.insert(at_pos, entry);
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        // dvs-lint: allow(panic, reason = "checked_sub above proves the heap is non-empty")
-        let entry = self.heap.pop().expect("non-empty after len check");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        Some((entry.at, entry.payload))
+        self.list.pop().map(|e| (e.at, e.payload))
     }
 
     /// The instant of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.list.last().map(|e| e.at)
     }
 
     /// The number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.list.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.list.is_empty()
     }
 
     /// Total events ever scheduled on this queue (not just pending).
@@ -125,7 +123,7 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events, keeping the backing allocation.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.list.clear();
     }
 
     /// Returns the queue to its freshly-constructed state while keeping the
@@ -138,47 +136,9 @@ impl<E> EventQueue<E> {
     /// reused queue that kept counting would dispatch ties in a different
     /// order than a fresh queue and break bit-for-bit reproducibility.
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.list.clear();
         self.next_seq = 0;
         self.scheduled = 0;
-    }
-
-    /// Restores the heap invariant upward from `idx` after a push.
-    fn sift_up(&mut self, mut idx: usize) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            // dvs-lint: allow(index, reason = "idx < len by loop entry and parent = (idx-1)/2 < idx")
-            if self.heap[idx].before(&self.heap[parent]) {
-                self.heap.swap(idx, parent);
-                idx = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Restores the heap invariant downward from `idx` after a pop.
-    fn sift_down(&mut self, mut idx: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * idx + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let mut smallest = left;
-            // dvs-lint: allow(index, reason = "left < len checked above; right < len guards the right access")
-            if right < len && self.heap[right].before(&self.heap[left]) {
-                smallest = right;
-            }
-            // dvs-lint: allow(index, reason = "smallest is left or right, both proven < len; idx < left < len")
-            if self.heap[smallest].before(&self.heap[idx]) {
-                self.heap.swap(idx, smallest);
-                idx = smallest;
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -191,7 +151,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.heap.len())
+            .field("len", &self.list.len())
             .field("next", &self.peek_time())
             .finish()
     }
@@ -305,7 +265,7 @@ mod tests {
 
     #[test]
     fn matches_sorted_model_under_random_interleaving() {
-        // Differential check of the hand-rolled heap against a sort: random
+        // Differential check of the sorted list against a sort: random
         // schedule/pop interleavings must agree with (time, seq) order.
         let mut rng = SimRng::seed_from(0xD15C0);
         let mut q = EventQueue::new();
@@ -363,5 +323,53 @@ mod tests {
     fn debug_is_nonempty() {
         let q: EventQueue<()> = EventQueue::new();
         assert!(format!("{q:?}").contains("EventQueue"));
+    }
+
+    mod reference_order {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random schedule/pop/reset interleavings pop in exactly the
+            /// order of a map keyed by `(time, insertion seq)`. Times come
+            /// from a narrow range so same-instant ties are common.
+            #[test]
+            fn pops_in_btreemap_order(
+                ops in prop::collection::vec((0u8..8, 0u64..12), 0..400),
+            ) {
+                let mut q = EventQueue::with_capacity(4);
+                let mut model: BTreeMap<(SimTime, u64), u32> = BTreeMap::new();
+                let mut seq = 0u64;
+                for (step, (op, at)) in ops.into_iter().enumerate() {
+                    match op {
+                        0..=4 => {
+                            let at = SimTime::from_nanos(at);
+                            q.schedule(at, step as u32);
+                            model.insert((at, seq), step as u32);
+                            seq += 1;
+                        }
+                        5 | 6 => {
+                            let want = model.pop_first().map(|((at, _), e)| (at, e));
+                            prop_assert_eq!(q.pop(), want);
+                        }
+                        _ => {
+                            q.reset();
+                            model.clear();
+                            seq = 0;
+                        }
+                    }
+                    prop_assert_eq!(q.len(), model.len());
+                    prop_assert_eq!(q.peek_time(), model.keys().next().map(|&(at, _)| at));
+                    prop_assert_eq!(q.total_scheduled(), seq);
+                }
+                let rest: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
+                let want: Vec<(SimTime, u32)> =
+                    model.into_iter().map(|((at, _), e)| (at, e)).collect();
+                prop_assert_eq!(rest, want);
+            }
+        }
     }
 }

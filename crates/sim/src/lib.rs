@@ -3,7 +3,8 @@
 //! Every other crate in the workspace builds on the primitives here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a stable, deterministic future-event list,
+//! * [`EventQueue`] — a stable, deterministic future-event list (a sorted
+//!   small event list),
 //! * [`SimRng`] — a seedable, reproducible pseudo-random number generator
 //!   (xoshiro256**), independent of platform entropy so that every simulation
 //!   run is replayable from its seed.

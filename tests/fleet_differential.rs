@@ -2,7 +2,7 @@
 //!
 //! Two independent equivalences, both byte-for-byte on serialized output:
 //!
-//! * the SoA **batch kernel** (`run_batch`) vs per-device [`Simulator`]
+//! * the **batched engine** (`run_batch`) vs per-device [`Simulator`]
 //!   runs — K ∈ {1, 2, 7, 64} lanes, clean and fault-injected, and for
 //!   K = 1 against *both* execution cores (event heap and the reference
 //!   tick-stepper), so the batch path is transitively pinned to the
