@@ -9,7 +9,24 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use dvs_bench::simcore::bench_traces;
-use dvs_pipeline::{PipelineConfig, SimCore, Simulator, VsyncPacer};
+use dvs_metrics::RunReport;
+use dvs_pipeline::{PipelineConfig, RunArena, SimCore, Simulator, VsyncPacer};
+use dvs_workload::FrameTrace;
+
+/// Runs every trace once on `core`, returning the events dispatched.
+fn run_all(traces: &[FrameTrace], core: SimCore) -> u64 {
+    let mut events = 0u64;
+    for trace in traces {
+        let cfg = PipelineConfig::new(trace.rate_hz, 3);
+        let (mut arena, mut out) = (RunArena::new(), RunReport::default());
+        let stats = Simulator::new(&cfg)
+            .with_core(core)
+            .try_run_into(black_box(trace), &mut VsyncPacer::new(), &mut arena, &mut out)
+            .expect("bench traces are valid");
+        events += stats.events_processed;
+    }
+    events
+}
 
 fn bench_simcore(c: &mut Criterion) {
     // The quick slice (every fifth suite75 case) keeps one criterion
@@ -20,32 +37,10 @@ fn bench_simcore(c: &mut Criterion) {
     let mut group = c.benchmark_group("simcore");
     group.throughput(Throughput::Elements(frames));
     group.bench_function("event_heap_suite75_slice", |b| {
-        b.iter(|| {
-            let mut events = 0u64;
-            for trace in &traces {
-                let cfg = PipelineConfig::new(trace.rate_hz, 3);
-                let (_, stats) = Simulator::new(&cfg)
-                    .with_core(SimCore::EventHeap)
-                    .try_run_instrumented(black_box(trace), &mut VsyncPacer::new())
-                    .expect("bench traces are valid");
-                events += stats.events_processed;
-            }
-            events
-        });
+        b.iter(|| run_all(&traces, SimCore::EventHeap));
     });
     group.bench_function("reference_suite75_slice", |b| {
-        b.iter(|| {
-            let mut events = 0u64;
-            for trace in &traces {
-                let cfg = PipelineConfig::new(trace.rate_hz, 3);
-                let (_, stats) = Simulator::new(&cfg)
-                    .with_core(SimCore::Reference)
-                    .try_run_instrumented(black_box(trace), &mut VsyncPacer::new())
-                    .expect("bench traces are valid");
-                events += stats.events_processed;
-            }
-            events
-        });
+        b.iter(|| run_all(&traces, SimCore::Reference));
     });
     group.finish();
 }

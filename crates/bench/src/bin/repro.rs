@@ -328,7 +328,7 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 #   simcore  event heap vs reference tick-stepper\n\
          \x20                 #   sweep    classic path vs shared cache + pooled arenas\n\
          \x20                 #   trace    binary trace container vs JSON\n\
-         \x20                 #   fleet    SoA batch kernel vs per-device oracle\n\
+         \x20                 #   fleet    devices/minute, batched vs per-device engine\n\
          \x20                 # --emit-json defaults to BENCH_<suite>.json; --check applies\n\
          \x20                 # the suite's gate table (floors, 20% baseline drops) and\n\
          \x20                 # exits 1 on any breach\n\
@@ -504,6 +504,7 @@ fn run_custom(path: &str) -> DvsResult<String> {
     let json = read_text(Path::new(path))?;
     let spec: dvs_workload::ScenarioSpec = serde_json::from_str(&json)
         .map_err(|e| DvsError::InvalidConfig(format!("parse {path}: {e}")))?;
+    spec.check()?;
     let fitted = if spec.paper_baseline_fdps > 0.0 { calibrated(&spec, 3).spec } else { spec };
     let result = suite::run_suite(
         &format!("custom scenario: {}", fitted.name),

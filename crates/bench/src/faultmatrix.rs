@@ -153,16 +153,15 @@ fn run_cell(
             &mut dvsync
         }
     };
-    let sim = Simulator::new(&cfg);
+    let sim = Simulator::new(&cfg).with_faults(Some(plan));
     match mode {
         SweepMode::FullRecords => {
-            let report = sim
-                .run_faulted(trace, pacer, plan)
-                .expect("matrix traces are non-empty and rate-matched");
+            let report =
+                sim.try_run(trace, pacer).expect("matrix traces are non-empty and rate-matched");
             summarize(cell, scenario, profile, &report)
         }
         SweepMode::Aggregate => arena.with_scratch_report(|arena, out| {
-            sim.try_run_faulted_into(trace, pacer, plan, arena, out)
+            sim.try_run_into(trace, pacer, arena, out)
                 .expect("matrix traces are non-empty and rate-matched");
             let agg = RunAggregate::from_report(out);
             summarize_aggregate(cell, scenario, profile, &agg)
@@ -437,7 +436,8 @@ pub fn run_degraded_case() -> GoldenDegradedMode {
     let mut pacer =
         DvsyncPacer::new(DvsyncConfig::with_buffers(5)).with_watchdog(WatchdogConfig::default());
     let report = Simulator::new(&cfg)
-        .run_faulted(&trace, &mut pacer, &plan)
+        .with_faults(Some(&plan))
+        .try_run(&trace, &mut pacer)
         .expect("reference trace is valid");
     GoldenDegradedMode {
         frames: report.records.len(),

@@ -231,12 +231,10 @@ pub fn run_fleet_shard_with(
                 let plan = fleet_plan(spec, &dev);
                 let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
                 arena.with_scratch_report(|arena, out| {
-                    let sim = Simulator::new(&cfg);
-                    match &plan {
-                        Some(p) => sim.try_run_faulted_into(&trace, &mut pacer, p, arena, out),
-                        None => sim.try_run_into(&trace, &mut pacer, arena, out),
-                    }
-                    .expect("generated fleet traces always validate");
+                    Simulator::new(&cfg)
+                        .with_faults(plan.as_ref())
+                        .try_run_into(&trace, &mut pacer, arena, out)
+                        .expect("generated fleet traces always validate");
                     observe_device(&mut sketch, out);
                 });
             }

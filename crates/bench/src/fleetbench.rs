@@ -158,7 +158,7 @@ pub fn run(quick: bool) -> DvsResult<FleetBench> {
 
 /// Renders the comparison as an aligned text table.
 pub fn render(b: &FleetBench) -> String {
-    let mut out = String::from("Fleet throughput (SoA batch kernel vs per-device oracle)\n");
+    let mut out = String::from("Fleet throughput (batched vs per-device engine)\n");
     out.push_str(&format!(
         "population: '{}' — {} devices × {} frames, {} shards, {} jobs\n",
         b.population, b.devices, b.frames, b.shards, b.jobs

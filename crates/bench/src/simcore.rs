@@ -14,7 +14,8 @@
 
 use std::time::Instant;
 
-use dvs_pipeline::{PipelineConfig, SimCore, Simulator, VsyncPacer};
+use dvs_metrics::RunReport;
+use dvs_pipeline::{PipelineConfig, RunArena, SimCore, Simulator, VsyncPacer};
 use dvs_sim::DvsResult;
 use dvs_workload::FrameTrace;
 use serde::{Deserialize, Serialize};
@@ -83,9 +84,13 @@ pub fn measure_core(
     for _ in 0..reps {
         for trace in traces {
             let cfg = PipelineConfig::new(trace.rate_hz, 3);
-            let (_, stats) = Simulator::new(&cfg)
-                .with_core(core)
-                .try_run_instrumented(trace, &mut VsyncPacer::new())?;
+            let (mut arena, mut out) = (RunArena::new(), RunReport::default());
+            let stats = Simulator::new(&cfg).with_core(core).try_run_into(
+                trace,
+                &mut VsyncPacer::new(),
+                &mut arena,
+                &mut out,
+            )?;
             events += stats.events_processed;
             polls += stats.polls;
         }

@@ -45,7 +45,9 @@ use std::thread;
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_metrics::{RunAggregate, RunReport};
-use dvs_pipeline::{run_segments_into, FramePacer, RunArena, SimCore, VsyncPacer};
+use dvs_pipeline::{
+    run_segments_into, FramePacer, PipelineConfig, RunArena, Simulator, VsyncPacer,
+};
 use dvs_workload::{FrameTrace, ScenarioSpec, TraceCache};
 use serde::{Deserialize, Serialize};
 
@@ -538,31 +540,17 @@ fn run_cell_into(
     arena: &mut RunArena,
     out: &mut RunReport,
 ) {
-    match cell.pacer {
-        PacerKind::Vsync => run_segments_into(
-            &spec.name,
-            cell.rate_hz,
-            segments,
-            cell.buffers,
-            SimCore::default(),
-            || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>,
-            arena,
-            out,
-        ),
-        PacerKind::Dvsync => run_segments_into(
-            &spec.name,
-            cell.rate_hz,
-            segments,
-            cell.buffers,
-            SimCore::default(),
-            || {
+    let cfg = PipelineConfig::new(cell.rate_hz, cell.buffers);
+    let make_pacer = || -> Box<dyn FramePacer> {
+        match cell.pacer {
+            PacerKind::Vsync => Box::new(VsyncPacer::new()),
+            PacerKind::Dvsync => {
                 Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(cell.buffers)))
-                    as Box<dyn FramePacer>
-            },
-            arena,
-            out,
-        ),
-    }
+            }
+        }
+    };
+    run_segments_into(&Simulator::new(&cfg), &spec.name, segments, make_pacer, arena, out)
+        .expect("cells replay their spec's own non-empty segments at its rate");
 }
 
 /// Executes one cell under the selected reporting mode.

@@ -11,9 +11,11 @@
 use dvs_metrics::RunReport;
 use dvs_workload::ScenarioSpec;
 
-use crate::core::{RunArena, SimCore};
+use crate::config::PipelineConfig;
+use crate::core::RunArena;
 use crate::pacer::{FramePacer, VsyncPacer};
 use crate::runner::run_segments_into;
+use crate::simulator::Simulator;
 
 /// The result of calibrating one scenario.
 #[derive(Clone, Debug)]
@@ -119,25 +121,20 @@ fn measure_with_rate(spec: &ScenarioSpec, buffers: usize, rate: f64, arena: &mut
 
 /// One segmented VSync measurement through the arena's scratch report.
 fn measure_pooled(spec: &ScenarioSpec, buffers: usize, arena: &mut RunArena) -> f64 {
+    let cfg = PipelineConfig::new(spec.rate_hz, buffers);
     let segments = spec.generate_segments();
     arena.with_scratch_report(|arena, out: &mut RunReport| {
-        run_segments_into(
-            &spec.name,
-            spec.rate_hz,
-            &segments,
-            buffers,
-            SimCore::default(),
-            || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>,
-            arena,
-            out,
-        );
-        out.fdps()
+        let vsync = || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>;
+        // The segments come from the spec at the config's own rate, so the
+        // only possible error is a spec with no frames: it drops none.
+        run_segments_into(&Simulator::new(&cfg), &spec.name, &segments, vsync, arena, out)
+            .map_or(0.0, |()| out.fdps())
     })
 }
 
 #[cfg(test)]
 fn measure(spec: &ScenarioSpec, buffers: usize) -> f64 {
-    crate::runner::run_segmented_vsync(spec, buffers).fdps()
+    crate::runner::run_segmented(spec, buffers, || Box::new(VsyncPacer::new())).fdps()
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! panel: per-surface buffer queues, a deterministic composition step at
 //! each panel VSync, and a compose budget that rations latches between
 //! contending surfaces in priority order. The state machine lives in
-//! [`crate::core`]'s `compose` module; this module is the validation /
-//! fault-materialization entry point, mirroring [`crate::Simulator`] for
-//! the single-pipeline path.
+//! [`crate::core`]'s `compose` module; [`CompositeSim::try_run`], this
+//! module's one entry point, validates the surfaces, materializes their
+//! fault plans and runs them, mirroring [`crate::Simulator`] for the
+//! single-pipeline path.
 //!
 //! Two replay guarantees hold by construction and are pinned by the
 //! repo-level test walls:
@@ -120,38 +121,14 @@ impl<'c> CompositeSim<'c> {
         self
     }
 
-    /// The engine this runner dispatches to.
-    pub fn core(&self) -> SimCore {
-        self.core
-    }
-
-    /// Runs the composite to completion, allocating fresh reports.
-    ///
-    /// Reports come back in the surfaces' (canonical) order. See
-    /// [`CompositeSim::try_run_into`] for the pooled variant.
+    /// Runs the composite to completion. Reports come back in the
+    /// surfaces' (canonical) order.
     pub fn try_run(
         &self,
         surfaces: &mut [SurfaceRun<'_>],
         panel_plan: Option<&FaultPlan>,
     ) -> Result<(Vec<RunReport>, CompositeStats), DvsError> {
-        let mut arena = CompositeArena::new();
-        let mut outs = vec![RunReport::default(); surfaces.len()];
-        let stats = self.try_run_into(surfaces, panel_plan, &mut arena, &mut outs)?;
-        Ok((outs, stats))
-    }
-
-    /// Pooled composite run: writes per-surface reports into `outs`
-    /// (canonical order) reusing the arena's buffers. Byte-identical to
-    /// [`CompositeSim::try_run`] — every pooled buffer is reset before the
-    /// first event fires.
-    pub fn try_run_into(
-        &self,
-        surfaces: &mut [SurfaceRun<'_>],
-        panel_plan: Option<&FaultPlan>,
-        arena: &mut CompositeArena,
-        outs: &mut [RunReport],
-    ) -> Result<CompositeStats, DvsError> {
-        self.validate(surfaces, outs)?;
+        self.validate(surfaces)?;
         let budget = match self.compose_budget {
             None => usize::MAX,
             Some(0) => {
@@ -190,21 +167,22 @@ impl<'c> CompositeSim<'c> {
                 }
             })
             .collect();
-        let (core_stats, deferred) =
-            compose::execute(self.core, self.panel, budget, &panel_schedule, inputs, arena, outs);
-        Ok(CompositeStats { core: core_stats, deferred_latches: deferred })
+        let mut outs = vec![RunReport::default(); inputs.len()];
+        let (core_stats, deferred) = compose::execute(
+            self.core,
+            self.panel,
+            budget,
+            &panel_schedule,
+            inputs,
+            &mut CompositeArena::new(),
+            &mut outs,
+        );
+        Ok((outs, CompositeStats { core: core_stats, deferred_latches: deferred }))
     }
 
-    fn validate(&self, surfaces: &[SurfaceRun<'_>], outs: &[RunReport]) -> Result<(), DvsError> {
+    fn validate(&self, surfaces: &[SurfaceRun<'_>]) -> Result<(), DvsError> {
         if surfaces.is_empty() {
             return Err(DvsError::EmptyComposite);
-        }
-        if outs.len() != surfaces.len() {
-            return Err(DvsError::InvalidConfig(format!(
-                "composite outputs ({}) must match surfaces ({})",
-                outs.len(),
-                surfaces.len()
-            )));
         }
         for s in surfaces {
             if s.trace.is_empty() {

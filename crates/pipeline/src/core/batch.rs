@@ -38,7 +38,7 @@ pub struct BatchLane<P: FramePacer> {
     /// The lane's frame trace for this batch.
     pub trace: FrameTrace,
     /// Optional fault plan, streamed over the lane's own horizon exactly
-    /// like [`crate::Simulator::try_run_faulted_into`].
+    /// like [`crate::Simulator::with_faults`].
     pub plan: Option<FaultPlan>,
     /// The lane's pacer. Fresh per run (pacing state must not leak across
     /// devices); monomorphized so batches skip the per-run boxed pacer.
@@ -127,13 +127,11 @@ mod tests {
             .collect();
         run_batch(&cfg, &mut lanes).expect("batch runs");
 
-        let sim = Simulator::new(&cfg);
         for lane in &lanes {
-            let mut pacer = VsyncPacer::new();
-            let solo = match &lane.plan {
-                Some(plan) => sim.run_faulted(&lane.trace, &mut pacer, plan).expect("solo"),
-                None => sim.try_run(&lane.trace, &mut pacer).expect("solo"),
-            };
+            let solo = Simulator::new(&cfg)
+                .with_faults(lane.plan.as_ref())
+                .try_run(&lane.trace, &mut VsyncPacer::new())
+                .expect("solo");
             assert_eq!(json(&lane.out), json(&solo), "lane {} diverged", lane.trace.name);
         }
     }

@@ -45,9 +45,7 @@ pub use calibrate::{calibrate_spec, calibrate_spec_pooled, CalibrationOutcome};
 pub use composite::{CompositeSim, CompositeStats, SurfaceRun};
 pub use config::PipelineConfig;
 pub use core::batch::{run_batch, BatchLane};
-pub use core::{CompositeArena, CoreStats, RunArena, SimCore};
+pub use core::{CoreStats, RunArena, SimCore};
 pub use pacer::{FramePacer, FramePlan, PacerCtx, VsyncPacer};
-pub use runner::{
-    run_segmented, run_segmented_core, run_segmented_pooled, run_segmented_vsync, run_segments_into,
-};
+pub use runner::{run_segmented, run_segments_into};
 pub use simulator::Simulator;

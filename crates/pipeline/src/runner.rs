@@ -8,18 +8,20 @@
 //! VSync pipeline that janked once would keep its deepened queue forever and
 //! absorb later key frames for free, which real interactive sessions do not.
 //!
-//! Every entry point funnels into [`run_segments_into`], the pooled core:
-//! it runs pre-generated segments through a [`RunArena`] into a
-//! caller-provided report. The convenience wrappers allocate a transient
-//! arena; sweep grids and calibration hold one arena per worker thread and
-//! run hundreds of scenarios through it allocation-free.
+//! [`run_segments_into`] is the pooled form: it runs pre-generated segments
+//! through a [`RunArena`] into a caller-provided report, one
+//! [`Simulator::try_run_into`] per segment, so it validates exactly like a
+//! solo run. [`run_segmented`] wraps it with a transient arena; sweep grids
+//! and calibration hold one arena per worker thread and run hundreds of
+//! scenarios through it allocation-free.
 
 use dvs_metrics::RunReport;
+use dvs_sim::DvsError;
 use dvs_workload::{FrameTrace, ScenarioSpec};
 
 use crate::config::PipelineConfig;
-use crate::core::{RunArena, SimCore};
-use crate::pacer::{FramePacer, VsyncPacer};
+use crate::core::RunArena;
+use crate::pacer::FramePacer;
 use crate::simulator::Simulator;
 
 /// Runs every animation segment of `spec` through a fresh pipeline and
@@ -27,97 +29,81 @@ use crate::simulator::Simulator;
 ///
 /// # Panics
 ///
-/// Panics if the spec produces no frames.
+/// Panics if the spec produces no frames, or on a zero refresh rate or
+/// fewer than two buffers (see [`PipelineConfig::new`]). Fallible callers
+/// should use [`run_segments_into`].
 pub fn run_segmented<F>(spec: &ScenarioSpec, buffers: usize, make_pacer: F) -> RunReport
 where
     F: FnMut() -> Box<dyn FramePacer>,
 {
-    run_segmented_core(spec, buffers, SimCore::default(), make_pacer)
-}
-
-/// [`run_segmented`] on an explicit execution engine — the seam the
-/// differential suite and the benchmark harness drive both cores through.
-pub fn run_segmented_core<F>(
-    spec: &ScenarioSpec,
-    buffers: usize,
-    core: SimCore,
-    make_pacer: F,
-) -> RunReport
-where
-    F: FnMut() -> Box<dyn FramePacer>,
-{
-    let mut arena = RunArena::new();
-    let mut out = RunReport::default();
-    run_segmented_pooled(spec, buffers, core, make_pacer, &mut arena, &mut out);
+    let cfg = PipelineConfig::new(spec.rate_hz, buffers);
+    let segments = spec.generate_segments();
+    let (sim, mut arena, mut out) = (Simulator::new(&cfg), RunArena::new(), RunReport::default());
+    if let Err(e) = run_segments_into(&sim, &spec.name, &segments, make_pacer, &mut arena, &mut out)
+    {
+        // dvs-lint: allow(panic, reason = "documented panicking wrapper; fallible callers use run_segments_into")
+        panic!("{e}");
+    }
     out
 }
 
-/// Pooled [`run_segmented_core`]: generates the spec's segments, then runs
-/// them through the caller's arena into `out` (fully reset first). The
-/// result is byte-identical to the fresh-allocation wrappers.
-pub fn run_segmented_pooled<F>(
-    spec: &ScenarioSpec,
-    buffers: usize,
-    core: SimCore,
-    make_pacer: F,
-    arena: &mut RunArena,
-    out: &mut RunReport,
-) where
-    F: FnMut() -> Box<dyn FramePacer>,
-{
-    let segments = spec.generate_segments();
-    run_segments_into(&spec.name, spec.rate_hz, &segments, buffers, core, make_pacer, arena, out);
-}
-
 /// The pooled core of segmented execution: runs pre-generated `segments`
-/// (e.g. shared out of a trace cache) through one simulator, merging every
-/// segment report into `out`.
+/// (e.g. shared out of a trace cache) one after another through `sim`,
+/// each under a fresh pacer from `make_pacer`, merging every segment report
+/// into `out`.
 ///
-/// `out` is reset to `(name, rate_hz)` and pre-sized for the total frame
-/// count plus the expected mode transitions (at most two per segment:
-/// one decouple + one recouple), so a warm arena never reallocates.
+/// `out` is reset to `name` at the simulator's rate and pre-sized for the
+/// total frame count plus the expected mode transitions (at most two per
+/// segment: one decouple + one recouple), so a warm arena never reallocates.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any segment is empty or disagrees with `rate_hz`.
-#[allow(clippy::too_many_arguments)]
+/// [`DvsError::EmptyTrace`] when there are no segments or one is empty, and
+/// [`DvsError::RateMismatch`] when a segment's rate disagrees with the
+/// simulator's configuration: the errors of [`Simulator::try_run_into`].
+/// After an error `out` holds no meaningful report.
 pub fn run_segments_into<F>(
+    sim: &Simulator<'_>,
     name: &str,
-    rate_hz: u32,
     segments: &[FrameTrace],
-    buffers: usize,
-    core: SimCore,
     mut make_pacer: F,
     arena: &mut RunArena,
     out: &mut RunReport,
-) where
+) -> Result<(), DvsError>
+where
     F: FnMut() -> Box<dyn FramePacer>,
 {
-    out.reset(name, rate_hz);
+    if segments.is_empty() {
+        return Err(DvsError::EmptyTrace);
+    }
+    out.reset(name, sim.cfg.rate_hz);
     let frames_total: usize = segments.iter().map(|t| t.len()).sum();
     out.reserve_for(frames_total, 2 * segments.len());
-    let cfg = PipelineConfig::new(rate_hz, buffers);
-    let sim = Simulator::new(&cfg).with_core(core);
     // The per-segment report slot lives in the arena so repeated segmented
     // runs (calibration measures dozens per scenario) reuse its vectors.
     let mut seg_out = std::mem::take(&mut arena.segment);
-    for segment in segments {
-        let mut pacer = make_pacer();
-        sim.run_into(segment, pacer.as_mut(), arena, &mut seg_out);
+    let result = segments.iter().try_for_each(|segment| {
+        sim.try_run_into(segment, make_pacer().as_mut(), arena, &mut seg_out)?;
         out.absorb_from(&mut seg_out);
-    }
+        Ok(())
+    });
     arena.segment = seg_out;
-}
-
-/// Convenience: the segmented VSync baseline.
-pub fn run_segmented_vsync(spec: &ScenarioSpec, buffers: usize) -> RunReport {
-    run_segmented(spec, buffers, || Box::new(VsyncPacer::new()))
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pacer::VsyncPacer;
     use dvs_workload::CostProfile;
+
+    fn vsync_pacer() -> Box<dyn FramePacer> {
+        Box::new(VsyncPacer::new())
+    }
+
+    fn run_segmented_vsync(spec: &ScenarioSpec, buffers: usize) -> RunReport {
+        run_segmented(spec, buffers, vsync_pacer)
+    }
 
     #[test]
     fn segments_cover_all_frames() {
@@ -164,10 +150,13 @@ mod tests {
             .with_paper_fdps(1.5)
             .with_segment_frames(60);
         let fresh = run_segmented_vsync(&spec, 3);
+        let cfg = PipelineConfig::new(spec.rate_hz, 3);
+        let sim = Simulator::new(&cfg);
+        let segments = spec.generate_segments();
         let mut arena = RunArena::new();
         let mut out = RunReport::default();
-        let mk = || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>;
-        run_segmented_pooled(&spec, 3, SimCore::default(), mk, &mut arena, &mut out);
+        run_segments_into(&sim, &spec.name, &segments, vsync_pacer, &mut arena, &mut out)
+            .expect("valid segments");
         assert_eq!(
             serde_json::to_string(&fresh).unwrap(),
             serde_json::to_string(&out).unwrap(),
@@ -178,9 +167,37 @@ mod tests {
         // on the first pass).
         let cap_records = out.records.capacity();
         let cap_janks = out.janks.capacity();
-        run_segmented_pooled(&spec, 3, SimCore::default(), mk, &mut arena, &mut out);
+        run_segments_into(&sim, &spec.name, &segments, vsync_pacer, &mut arena, &mut out)
+            .expect("valid segments");
         assert_eq!(serde_json::to_string(&fresh).unwrap(), serde_json::to_string(&out).unwrap());
         assert_eq!(out.records.capacity(), cap_records, "records capacity must be stable");
         assert_eq!(out.janks.capacity(), cap_janks, "janks capacity must be stable");
+    }
+
+    #[test]
+    fn segmented_runs_validate_like_solo_runs() {
+        let cfg = PipelineConfig::new(60, 3);
+        let sim = Simulator::new(&cfg);
+        let mut arena = RunArena::new();
+        let mut out = RunReport::default();
+        let mut run = |segments: &[FrameTrace]| {
+            run_segments_into(&sim, "v", segments, vsync_pacer, &mut arena, &mut out)
+        };
+        assert_eq!(run(&[]), Err(DvsError::EmptyTrace), "no segments is an empty trace");
+        let spec = ScenarioSpec::new("v", 60, 90, CostProfile::smooth()).with_segment_frames(60);
+        let mut segments = spec.generate_segments();
+        assert_eq!(run(&segments), Ok(()));
+        segments.push(FrameTrace::new("hollow", 60));
+        assert_eq!(run(&segments), Err(DvsError::EmptyTrace));
+        let mut fast = FrameTrace::new("fast", 120);
+        fast.frames = segments[0].frames.clone();
+        segments[2] = fast;
+        assert_eq!(run(&segments), Err(DvsError::RateMismatch { trace_hz: 120, config_hz: 60 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty trace")]
+    fn segmented_run_of_no_frames_panics() {
+        run_segmented_vsync(&ScenarioSpec::new("none", 60, 0, CostProfile::smooth()), 3);
     }
 }

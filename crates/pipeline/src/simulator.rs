@@ -16,20 +16,24 @@ use crate::pacer::FramePacer;
 /// Replays a [`FrameTrace`] through the two-stage pipeline under a pacing
 /// policy. See the [crate docs](crate) for an example.
 ///
-/// Runs execute on the event-heap engine by default; pass
+/// The simulator value carries everything a run needs besides its trace and
+/// pacer: the configuration, the execution engine and an optional fault
+/// plan. Runs execute on the event-heap engine by default; pass
 /// [`SimCore::Reference`] to [`Simulator::with_core`] to use the retained
 /// tick-stepper (the differential-testing baseline). Both engines produce
-/// byte-identical reports.
-#[derive(Debug)]
+/// byte-identical reports, clean or faulted.
+#[derive(Clone, Copy, Debug)]
 pub struct Simulator<'c> {
-    cfg: &'c PipelineConfig,
+    pub(crate) cfg: &'c PipelineConfig,
     core: SimCore,
+    plan: Option<&'c FaultPlan>,
 }
 
 impl<'c> Simulator<'c> {
-    /// Creates a simulator over the given configuration (event-heap engine).
+    /// Creates a clean simulator over the given configuration (event-heap
+    /// engine).
     pub fn new(cfg: &'c PipelineConfig) -> Self {
-        Simulator { cfg, core: SimCore::default() }
+        Simulator { cfg, core: SimCore::default(), plan: None }
     }
 
     /// Selects which execution engine runs the event loop.
@@ -38,9 +42,19 @@ impl<'c> Simulator<'c> {
         self
     }
 
-    /// The engine this simulator dispatches runs to.
-    pub fn core(&self) -> SimCore {
-        self.core
+    /// Injects `plan`'s faults into every run (`None` runs clean).
+    ///
+    /// The plan resolves over each run's exact horizon (trace length × tick
+    /// cap), and its per-tick draws are prefix-stable, so the fault stream is
+    /// a pure function of `(plan, config, trace)`: identical inputs replay
+    /// byte-identically, including every degradation transition. The
+    /// event-heap engine streams the plan into the arena's pooled fault
+    /// tables, drawing per-tick processes only as far as the run reaches;
+    /// the reference engine materializes the full
+    /// [`dvs_faults::FaultSchedule`].
+    pub fn with_faults(mut self, plan: Option<&'c FaultPlan>) -> Self {
+        self.plan = plan;
+        self
     }
 
     /// Runs the trace to completion (or the safety tick cap) and reports.
@@ -64,47 +78,20 @@ impl<'c> Simulator<'c> {
         trace: &FrameTrace,
         pacer: &mut dyn FramePacer,
     ) -> Result<RunReport, DvsError> {
-        self.try_run_instrumented(trace, pacer).map(|(report, _)| report)
-    }
-
-    /// [`Simulator::try_run`] plus the engine's dispatch counters
-    /// (events/sec numerators for the benchmark harness).
-    pub fn try_run_instrumented(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-    ) -> Result<(RunReport, CoreStats), DvsError> {
-        let mut arena = RunArena::new();
         let mut out = RunReport::default();
-        let stats = self.try_run_into(trace, pacer, &mut arena, &mut out)?;
-        Ok((out, stats))
+        self.try_run_into(trace, pacer, &mut RunArena::new(), &mut out)?;
+        Ok(out)
     }
 
-    /// Pooled variant of [`Simulator::run`]: runs into a caller-provided
-    /// [`RunArena`] and output report, reusing their allocations.
+    /// The run every other entry point takes: runs into a caller-provided
+    /// [`RunArena`] and output report, reusing their allocations, and
+    /// returns the engine's dispatch counters (the events/sec numerators of
+    /// the benchmark harness).
     ///
-    /// The output is byte-identical to [`Simulator::run`] — `out` is fully
-    /// reset before the first event fires — but a warm arena makes the whole
-    /// run allocation-free, which is what sweep grids batch-running hundreds
-    /// of cells per worker thread want.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Simulator::run`].
-    pub fn run_into(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        arena: &mut RunArena,
-        out: &mut RunReport,
-    ) {
-        if let Err(e) = self.try_run_into(trace, pacer, arena, out) {
-            // dvs-lint: allow(panic, reason = "documented panicking wrapper; fallible callers use try_run_into")
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible pooled run; see [`Simulator::run_into`].
+    /// The output is byte-identical to [`Simulator::try_run`] — `out` is
+    /// fully reset before the first event fires — but a warm arena makes the
+    /// whole run allocation-free, which is what sweep grids batch-running
+    /// hundreds of cells per worker thread want.
     pub fn try_run_into(
         &self,
         trace: &FrameTrace,
@@ -113,14 +100,22 @@ impl<'c> Simulator<'c> {
         out: &mut RunReport,
     ) -> Result<CoreStats, DvsError> {
         self.validate(trace)?;
-        Ok(self.dispatch(trace, pacer, None, arena, out))
+        Ok(match self.core {
+            SimCore::EventHeap => {
+                core::event_heap::execute(self.cfg, trace, pacer, self.plan, arena, out)
+            }
+            SimCore::Reference => {
+                core::reference::execute(self.cfg, trace, pacer, self.plan, arena, out)
+            }
+        })
     }
 
-    /// Pooled variant of [`Simulator::run_faulted`]: resolves the plan over
-    /// this run's horizon, then runs into the caller's arena and report. The
-    /// event-heap engine streams the plan into the arena's pooled fault
-    /// tables, drawing per-tick processes only as far as the run reaches;
-    /// the reference engine materializes the full [`dvs_faults::FaultSchedule`].
+    /// Shorthand for `self.with_faults(Some(plan)).try_run_into(..)`.
+    ///
+    /// Kept only for the benchmark worker's adapter
+    /// (`perfbench/src/adapter.rs`), whose sources change only together with
+    /// the benchmark; that change moves the adapter to
+    /// [`Simulator::with_faults`] and deletes this shim.
     pub fn try_run_faulted_into(
         &self,
         trace: &FrameTrace,
@@ -129,54 +124,7 @@ impl<'c> Simulator<'c> {
         arena: &mut RunArena,
         out: &mut RunReport,
     ) -> Result<CoreStats, DvsError> {
-        self.validate(trace)?;
-        Ok(self.dispatch(trace, pacer, Some(plan), arena, out))
-    }
-
-    /// Runs the trace under an injected [`FaultPlan`].
-    ///
-    /// The plan resolves over this run's exact horizon (trace length × tick
-    /// cap), and its per-tick draws are prefix-stable, so the fault stream is
-    /// a pure function of `(plan, config, trace)` — identical inputs replay
-    /// byte-identically, including every degradation transition.
-    pub fn run_faulted(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        plan: &FaultPlan,
-    ) -> Result<RunReport, DvsError> {
-        self.run_faulted_instrumented(trace, pacer, plan).map(|(report, _)| report)
-    }
-
-    /// [`Simulator::run_faulted`] plus the engine's dispatch counters.
-    pub fn run_faulted_instrumented(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        plan: &FaultPlan,
-    ) -> Result<(RunReport, CoreStats), DvsError> {
-        let mut arena = RunArena::new();
-        let mut out = RunReport::default();
-        let stats = self.try_run_faulted_into(trace, pacer, plan, &mut arena, &mut out)?;
-        Ok((out, stats))
-    }
-
-    fn dispatch(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        plan: Option<&FaultPlan>,
-        arena: &mut RunArena,
-        out: &mut RunReport,
-    ) -> CoreStats {
-        match self.core {
-            SimCore::EventHeap => {
-                core::event_heap::execute(self.cfg, trace, pacer, plan, arena, out)
-            }
-            SimCore::Reference => {
-                core::reference::execute(self.cfg, trace, pacer, plan, arena, out)
-            }
-        }
+        self.with_faults(Some(plan)).try_run_into(trace, pacer, arena, out)
     }
 
     fn validate(&self, trace: &FrameTrace) -> Result<(), DvsError> {
@@ -477,27 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn clean_fault_plan_matches_plain_run() {
-        let trace = trace_of(60, &[(2.0, 5.0); 60]);
-        let cfg = PipelineConfig::new(60, 3);
-        let sim = Simulator::new(&cfg);
-        let plain = sim.run(&trace, &mut VsyncPacer::new());
-        let faulted = sim
-            .run_faulted(&trace, &mut VsyncPacer::new(), &dvs_faults::FaultPlan::new("k"))
-            .unwrap();
-        assert_eq!(plain.records, faulted.records);
-        assert_eq!(plain.janks, faulted.janks);
-        assert!(faulted.fault_events.is_empty());
-    }
-
-    #[test]
     fn missed_vsync_janks_and_is_logged() {
         let trace = trace_of(60, &[(2.0, 5.0); 40]);
         let cfg = PipelineConfig::new(60, 3);
         let sim = Simulator::new(&cfg);
         let plan = dvs_faults::FaultPlan::new("miss")
             .with_event(dvs_faults::FaultEvent::MissVsync { tick: 10 });
-        let report = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let report = sim.with_faults(Some(&plan)).try_run(&trace, &mut VsyncPacer::new()).unwrap();
         assert!(report.janks.iter().any(|j| j.tick == 10), "swallowed pulse shows as a jank");
         assert!(report
             .fault_events
@@ -517,7 +451,7 @@ mod tests {
                 frame: 20,
                 extra: SimDuration::from_millis(19),
             });
-        let report = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let report = sim.with_faults(Some(&plan)).try_run(&trace, &mut VsyncPacer::new()).unwrap();
         // 5 + 19 = 24 ms render > one period: same signature as the organic
         // long-frame test above.
         assert_eq!(report.janks.len(), 1);
@@ -533,7 +467,7 @@ mod tests {
         for tick in 8..12 {
             plan = plan.with_event(dvs_faults::FaultEvent::DenyAlloc { tick });
         }
-        let report = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let report = sim.with_faults(Some(&plan)).try_run(&trace, &mut VsyncPacer::new()).unwrap();
         assert!(!report.truncated, "denial must not wedge the run");
         assert_eq!(report.records.len(), 40, "every frame still presents");
         assert!(report.fault_events.iter().any(|f| f.class == FaultClass::AllocDenied));
@@ -544,10 +478,10 @@ mod tests {
         let spec = ScenarioSpec::new("replay", 60, 200, CostProfile::scattered(3.0));
         let trace = spec.generate();
         let cfg = PipelineConfig::new(60, 4);
-        let sim = Simulator::new(&cfg);
         let plan = dvs_faults::named_profile("mixed", "replay-seed").unwrap();
-        let a = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
-        let b = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let sim = Simulator::new(&cfg).with_faults(Some(&plan));
+        let a = sim.try_run(&trace, &mut VsyncPacer::new()).unwrap();
+        let b = sim.try_run(&trace, &mut VsyncPacer::new()).unwrap();
         let ja = serde_json::to_string(&a).unwrap();
         let jb = serde_json::to_string(&b).unwrap();
         assert_eq!(ja, jb, "identical plan + seed must replay byte-identically");
@@ -593,28 +527,49 @@ mod tests {
     }
 
     #[test]
-    fn pooled_run_into_matches_fresh_runs_across_arena_reuse() {
-        // One arena reused across different traces and both engines must
-        // reproduce every fresh-run report byte for byte.
+    fn every_run_path_gives_the_same_bytes() {
+        // Engine × fault plan × entry point: a fresh `try_run`, a pooled
+        // `try_run_into` through one arena kept warm across every cell, and
+        // the `try_run_faulted_into` shim. Every cell must reproduce its
+        // trace's clean or faulted reference byte for byte; an empty plan is
+        // a clean run, and the mixed plan must reach the run.
         let cfg = PipelineConfig::new(60, 3);
-        let mut arena = crate::core::RunArena::new();
+        let empty = dvs_faults::FaultPlan::new("empty");
+        let mixed = dvs_faults::named_profile("mixed", "run-paths").unwrap();
+        let json = |r: &RunReport| serde_json::to_string(r).unwrap();
+        let mut arena = RunArena::new();
         let mut out = RunReport::default();
         let traces = [
             trace_of(60, &[(2.0, 5.0); 80]),
             trace_of(60, &[(2.0, 24.0); 30]),
             ScenarioSpec::new("pool", 60, 200, CostProfile::scattered(3.0)).generate(),
         ];
-        for core in [SimCore::EventHeap, SimCore::Reference] {
-            let sim = Simulator::new(&cfg).with_core(core);
-            for trace in &traces {
-                let fresh = sim.run(trace, &mut VsyncPacer::new());
-                sim.run_into(trace, &mut VsyncPacer::new(), &mut arena, &mut out);
-                assert_eq!(
-                    serde_json::to_string(&fresh).unwrap(),
-                    serde_json::to_string(&out).unwrap(),
-                    "pooled run diverged from fresh run ({core:?}, {})",
-                    trace.name
-                );
+        for trace in &traces {
+            let clean = json(&Simulator::new(&cfg).run(trace, &mut VsyncPacer::new()));
+            let faulted =
+                Simulator::new(&cfg).with_faults(Some(&mixed)).run(trace, &mut VsyncPacer::new());
+            assert!(!faulted.fault_events.is_empty(), "no faults reached {}", trace.name);
+            let faulted = json(&faulted);
+            for core in [SimCore::EventHeap, SimCore::Reference] {
+                let sim = Simulator::new(&cfg).with_core(core);
+                for (plan, expected) in
+                    [(None, &clean), (Some(&empty), &clean), (Some(&mixed), &faulted)]
+                {
+                    let cell = format!("{core:?}, {}, {:?}", trace.name, plan.map(|p| &p.seed_key));
+                    let planned = sim.with_faults(plan);
+                    let fresh = planned.try_run(trace, &mut VsyncPacer::new()).unwrap();
+                    assert_eq!(&json(&fresh), expected, "fresh try_run: {cell}");
+                    planned
+                        .try_run_into(trace, &mut VsyncPacer::new(), &mut arena, &mut out)
+                        .unwrap();
+                    assert_eq!(&json(&out), expected, "warm try_run_into: {cell}");
+                    if let Some(p) = plan {
+                        let mut pacer = VsyncPacer::new();
+                        sim.try_run_faulted_into(trace, &mut pacer, p, &mut arena, &mut out)
+                            .unwrap();
+                        assert_eq!(&json(&out), expected, "try_run_faulted_into shim: {cell}");
+                    }
+                }
             }
         }
     }
@@ -623,12 +578,14 @@ mod tests {
     fn instrumented_run_reports_engine_counters() {
         let trace = trace_of(60, &[(2.0, 5.0); 50]);
         let cfg = PipelineConfig::new(60, 3);
-        let (_, heap_stats) =
-            Simulator::new(&cfg).try_run_instrumented(&trace, &mut VsyncPacer::new()).unwrap();
-        let (_, ref_stats) = Simulator::new(&cfg)
-            .with_core(SimCore::Reference)
-            .try_run_instrumented(&trace, &mut VsyncPacer::new())
-            .unwrap();
+        let stats = |core| {
+            let (mut arena, mut out) = (RunArena::new(), RunReport::default());
+            Simulator::new(&cfg)
+                .with_core(core)
+                .try_run_into(&trace, &mut VsyncPacer::new(), &mut arena, &mut out)
+                .unwrap()
+        };
+        let (heap_stats, ref_stats) = (stats(SimCore::EventHeap), stats(SimCore::Reference));
         assert_eq!(heap_stats.polls, 0, "the heap never polls");
         assert_eq!(heap_stats.events_processed, ref_stats.events_processed);
         assert_eq!(heap_stats.events_scheduled, ref_stats.events_scheduled);

@@ -12,7 +12,7 @@
 //! `cluster_p ≈ 0`; skewed workloads (QQMusic-like) have large `cluster_p`,
 //! which is exactly the regime where the paper observes D-VSync stops helping.
 
-use dvs_sim::{SimDuration, SimRng};
+use dvs_sim::{DvsError, DvsResult, SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::dist::{LogNormal, Pareto};
@@ -105,20 +105,36 @@ impl CostProfile {
         self
     }
 
+    /// Checks parameter ranges, naming the first one out of range.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let ranges = [
+            (self.short_median_frac > 0.0, "short frames need positive cost"),
+            (self.short_sigma >= 0.0, "short_sigma must be non-negative"),
+            ((0.0..=1.0).contains(&self.ui_share), "ui_share is a fraction"),
+            (self.long_rate_per_sec >= 0.0, "long_rate_per_sec must be non-negative"),
+            (self.long_min_periods > 0.0, "long_min_periods must be positive"),
+            (self.long_alpha > 0.0, "long_alpha must be positive"),
+            (
+                self.long_max_periods > self.long_min_periods,
+                "long_max_periods must exceed long_min_periods",
+            ),
+            ((0.0..1.0).contains(&self.cluster_p), "cluster_p in [0,1)"),
+        ];
+        match ranges.iter().find(|(in_range, _)| !in_range) {
+            Some(&(_, problem)) => Err(problem),
+            None => Ok(()),
+        }
+    }
+
     /// Validates parameter ranges.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range parameters; called by [`TraceGenerator::new`].
+    /// Panics on out-of-range parameters, naming the first that
+    /// [`CostProfile::check`] finds; called by [`TraceGenerator::new`].
     pub fn validate(&self) {
-        assert!(self.short_median_frac > 0.0, "short frames need positive cost");
-        assert!(self.short_sigma >= 0.0);
-        assert!((0.0..=1.0).contains(&self.ui_share), "ui_share is a fraction");
-        assert!(self.long_rate_per_sec >= 0.0);
-        assert!(self.long_min_periods > 0.0);
-        assert!(self.long_alpha > 0.0);
-        assert!(self.long_max_periods > self.long_min_periods);
-        assert!((0.0..1.0).contains(&self.cluster_p), "cluster_p in [0,1)");
+        let checked = self.check();
+        assert!(checked.is_ok(), "invalid cost profile: {checked:?}");
     }
 }
 
@@ -183,6 +199,22 @@ impl ScenarioSpec {
         assert!(frames > 0, "segments need at least one frame");
         self.segment_frames = frames;
         self
+    }
+
+    /// Checks a spec that arrives from outside the program (a JSON file)
+    /// before anything runs it: a positive refresh rate, at least one frame
+    /// and an in-range cost profile.
+    pub fn check(&self) -> DvsResult<()> {
+        let checked = if self.rate_hz == 0 {
+            Err("rate_hz must be positive")
+        } else if self.frames == 0 {
+            Err("frames must be at least 1")
+        } else {
+            self.cost.check()
+        };
+        checked.map_err(|problem| {
+            DvsError::InvalidConfig(format!("scenario {:?}: {problem}", self.name))
+        })
     }
 
     /// Splits the generated trace into per-animation segments. The final

@@ -155,7 +155,8 @@ proptest! {
         let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(buffers))
             .with_watchdog(WatchdogConfig::default());
         let report = Simulator::new(&cfg)
-            .run_faulted(&trace, &mut pacer, &plan)
+            .with_faults(Some(&plan))
+            .try_run(&trace, &mut pacer)
             .expect("trace is non-empty and rate-matched");
         if !report.truncated {
             prop_assert_eq!(report.records.len(), trace.len(), "frames lost or duplicated");
@@ -187,7 +188,8 @@ proptest! {
             let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(5))
                 .with_watchdog(WatchdogConfig::default());
             let report = Simulator::new(&cfg)
-                .run_faulted(&trace, &mut pacer, &plan)
+                .with_faults(Some(&plan))
+                .try_run(&trace, &mut pacer)
                 .expect("valid trace");
             serde_json::to_string(&report).expect("reports serialize")
         };
@@ -213,7 +215,10 @@ fn fault_sweeps_are_jobs_invariant() {
             let cfg = PipelineConfig::new(60, 5);
             let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(5))
                 .with_watchdog(WatchdogConfig::default());
-            Simulator::new(&cfg).run_faulted(&trace, &mut pacer, &plan).expect("valid trace")
+            Simulator::new(&cfg)
+                .with_faults(Some(&plan))
+                .try_run(&trace, &mut pacer)
+                .expect("valid trace")
         });
         serde_json::to_string(&reports).expect("reports serialize")
     };

@@ -36,11 +36,7 @@ fn report_json(
     plan: Option<&FaultPlan>,
 ) -> String {
     let cfg = PipelineConfig::new(trace.rate_hz, buffers);
-    let sim = Simulator::new(&cfg).with_core(core);
-    let report = match plan {
-        None => sim.run(trace, pacer),
-        Some(p) => sim.run_faulted(trace, pacer, p).expect("valid trace"),
-    };
+    let report = Simulator::new(&cfg).with_core(core).with_faults(plan).run(trace, pacer);
     serde_json::to_string(&report).expect("reports serialize")
 }
 
@@ -165,7 +161,8 @@ fn pooled_arena_runs_are_byte_identical_across_cores_and_reuse() {
             let cfg = PipelineConfig::new(trace.rate_hz, 4);
             let sim = Simulator::new(&cfg).with_core(core);
             let mut out = dvs_metrics::RunReport::default();
-            sim.try_run_faulted_into(&trace, &mut VsyncPacer::new(), &plan, &mut arena, &mut out)
+            sim.with_faults(Some(&plan))
+                .try_run_into(&trace, &mut VsyncPacer::new(), &mut arena, &mut out)
                 .expect("valid trace");
             pooled_json.push(serde_json::to_string(&out).expect("reports serialize"));
         }
@@ -186,16 +183,10 @@ fn segmented_report_capacity_is_stable_across_warm_runs() {
     let mut arena = RunArena::new();
     let mut out = dvs_metrics::RunReport::default();
     let mk = || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>;
-    run_segments_into(
-        &spec.name,
-        spec.rate_hz,
-        &segments,
-        3,
-        SimCore::default(),
-        mk,
-        &mut arena,
-        &mut out,
-    );
+    let cfg = PipelineConfig::new(spec.rate_hz, 3);
+    let sim = Simulator::new(&cfg);
+    run_segments_into(&sim, &spec.name, &segments, mk, &mut arena, &mut out)
+        .expect("valid segments");
     let frames: usize = segments.iter().map(|t| t.len()).sum();
     assert!(
         out.records.capacity() >= frames,
@@ -204,16 +195,8 @@ fn segmented_report_capacity_is_stable_across_warm_runs() {
     );
     let caps = (out.records.capacity(), out.janks.capacity(), out.mode_transitions.capacity());
     let cold = serde_json::to_string(&out).expect("reports serialize");
-    run_segments_into(
-        &spec.name,
-        spec.rate_hz,
-        &segments,
-        3,
-        SimCore::default(),
-        mk,
-        &mut arena,
-        &mut out,
-    );
+    run_segments_into(&sim, &spec.name, &segments, mk, &mut arena, &mut out)
+        .expect("valid segments");
     let warm = serde_json::to_string(&out).expect("reports serialize");
     assert_eq!(cold, warm, "a warm arena+report must replay the identical run");
     assert_eq!(

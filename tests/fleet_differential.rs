@@ -53,12 +53,11 @@ fn solo_json(
     plan: &Option<FaultPlan>,
     core: SimCore,
 ) -> String {
-    let sim = Simulator::new(cfg).with_core(core);
-    let mut pacer = pacer();
-    let report = match plan {
-        Some(p) => sim.run_faulted(trace, &mut pacer, p).expect("valid trace"),
-        None => sim.try_run(trace, &mut pacer).expect("valid trace"),
-    };
+    let report = Simulator::new(cfg)
+        .with_core(core)
+        .with_faults(plan.as_ref())
+        .try_run(trace, &mut pacer())
+        .expect("valid trace");
     serde_json::to_string(&report).expect("reports serialize")
 }
 
@@ -136,7 +135,8 @@ fn wedged_alloc_runs_truncate_identically_across_cores_and_engines() {
             assert_eq!(batched, solo, "lane {i}: batch diverged from the {core:?} core");
         }
         let mut out = RunReport::default();
-        sim.try_run_faulted_into(&lane.trace, &mut pacer(), &plan, &mut warm, &mut out)
+        sim.with_faults(Some(&plan))
+            .try_run_into(&lane.trace, &mut pacer(), &mut warm, &mut out)
             .expect("valid trace");
         let pooled = serde_json::to_string(&out).expect("reports serialize");
         assert_eq!(batched, pooled, "lane {i}: a warm arena changed the bytes");
